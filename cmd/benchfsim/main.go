@@ -76,17 +76,20 @@ type report struct {
 
 func main() {
 	var (
-		name      = flag.String("circuit", "s35932", "registry circuit name")
-		n         = flag.Int("n", 8, "number of random tests")
-		length    = flag.Int("len", 8, "vectors per test")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		workers   = flag.String("workers", "1,2,4,8", "comma-separated worker counts to sweep")
-		modes     = flag.String("mode", "fault-parallel,pattern-parallel", "comma-separated fsim modes to sweep")
-		rounds    = flag.Int("rounds", 3, "timed rounds per worker count (best kept)")
-		out       = flag.String("o", "BENCH_fsim.json", "output JSON path (- for stdout)")
-		ledPath   = flag.String("ledger", "PERF_ledger.jsonl", "append the sweep to this JSON-lines performance ledger (empty to skip)")
-		tracePath = flag.String("trace", "", "record an execution trace of the sweep and write Chrome trace-event JSON to this file; its serial-fraction analysis lands in the ledger record")
+		name    = flag.String("circuit", "s35932", "registry circuit name")
+		n       = flag.Int("n", 8, "number of random tests")
+		length  = flag.Int("len", 8, "vectors per test")
+		seed    = flag.Uint64("seed", 1, "random seed")
+		workers = flag.String("workers", "1,2,4,8", "comma-separated worker counts to sweep")
+		modes   = flag.String("mode", "fault-parallel,pattern-parallel", "comma-separated fsim modes to sweep")
+		rounds  = flag.Int("rounds", 3, "timed rounds per worker count (best kept)")
+		out     = flag.String("o", "BENCH_fsim.json", "output JSON path (- for stdout)")
 	)
+	of := cliobs.Flags{Ledger: "PERF_ledger.jsonl"}
+	of.Register(flag.CommandLine, cliobs.Usage{
+		Trace:  "record an execution trace of the sweep and write Chrome trace-event JSON to this file; its serial-fraction analysis lands in the ledger record",
+		Ledger: "append the sweep to this JSON-lines performance ledger (empty to skip)",
+	})
 	flag.Parse()
 
 	c, err := bmark.Load(*name)
@@ -128,9 +131,13 @@ func main() {
 			runtime.NumCPU(), runtime.GOMAXPROCS(0), maxWorkers)
 	}
 
-	var tracer *trace.Recorder
-	if *tracePath != "" {
-		tracer = trace.New()
+	stack, err := of.Open(nil)
+	if err != nil {
+		fail(err)
+	}
+	var tracer *trace.Recorder // nil keeps the timed runs untraced
+	if of.Trace != "" {
+		tracer = stack.Obs.Trace()
 	}
 
 	cfg := core.Config{LA: *length, LB: *length, N: (*n + 1) / 2, Seed: *seed}
@@ -223,15 +230,15 @@ func main() {
 		fmt.Printf("scaling report written to %s\n", *out)
 	}
 
+	if errs := stack.Shutdown(); len(errs) > 0 { // writes the -trace file
+		fail(errs[0])
+	}
 	// The trace is analyzed in-process (the recorder's model is the same
 	// one `perf trace` builds from the file), so the ledger record below
 	// carries the sweep's serial fraction without a second tool run.
 	var analysis *trace.Analysis
 	if tracer != nil {
-		if err := cliobs.WriteTrace(*tracePath, tracer); err != nil {
-			fail(err)
-		}
-		fmt.Printf("trace written to %s (analyze with `perf trace`, or load in Perfetto)\n", *tracePath)
+		fmt.Printf("trace written to %s (analyze with `perf trace`, or load in Perfetto)\n", of.Trace)
 		analysis = trace.Analyze(tracer.Model())
 		fmt.Fprintf(os.Stderr, "benchfsim: trace: serial fraction %.1f%%, Amdahl max speedup %.2fx\n",
 			analysis.SerialFraction*100, analysis.MaxSpeedup)
@@ -240,7 +247,7 @@ func main() {
 	// The -o file is a latest-snapshot view (clobbered each run); the
 	// ledger record is the history. The worker sweep lands in Points,
 	// whose per-count ns_per_op values are what perf check gates.
-	if *ledPath != "" {
+	if of.Ledger != "" {
 		rec := &ledger.Record{
 			Kind:    ledger.KindBenchFsim,
 			Circuit: c.Name,
@@ -267,10 +274,10 @@ func main() {
 			})
 		}
 		rec.Stamp()
-		if err := ledger.Append(*ledPath, rec, nil); err != nil {
+		if err := ledger.Append(of.Ledger, rec, nil); err != nil {
 			fail(err)
 		}
-		fmt.Printf("ledger record appended to %s\n", *ledPath)
+		fmt.Printf("ledger record appended to %s\n", of.Ledger)
 	}
 }
 

@@ -34,16 +34,13 @@ import (
 	"limscan/internal/checkpoint"
 	"limscan/internal/cliobs"
 	"limscan/internal/core"
-	"limscan/internal/debugsrv"
 	"limscan/internal/errs"
 	"limscan/internal/fault"
 	"limscan/internal/fsim"
 	"limscan/internal/ledger"
 	"limscan/internal/obs"
-	"limscan/internal/prof"
 	"limscan/internal/report"
 	"limscan/internal/stafan"
-	"limscan/internal/trace"
 )
 
 // cleanup tears the observability stack down before any early exit; set
@@ -81,20 +78,22 @@ func main() {
 		trans      = flag.Bool("trans", false, "simulate the transition (gross-delay) fault universe instead of stuck-at")
 		mode       = flag.String("mode", "fault-parallel", "fault-simulation lane packing: fault-parallel or pattern-parallel (results are identical; pattern-parallel is stuck-at only)")
 		progress   = flag.Bool("progress", false, "stream per-batch progress to stderr")
-		metrics    = flag.String("metrics", "", "write the simulation metrics registry as JSON to this file at exit (\"-\" for stdout)")
 		workers    = flag.Int("workers", 0, "fault-simulation worker goroutines (0 = GOMAXPROCS; results are identical at any count)")
-
-		tracePath   = flag.String("trace", "", "record an execution trace (session, per-worker batches, merges, checkpoints) and write Chrome trace-event JSON to this file; analyze with `perf trace` or load in Perfetto")
-		debugAddr   = flag.String("debug-addr", "", "serve /metrics (Prometheus text) and /debug/pprof on this address while the session runs")
-		profileDir  = flag.String("profile-dir", "", "capture the session's CPU/heap/alloc pprof profiles into this directory")
-		sampleEvery = flag.Duration("sample-every", prof.DefaultSampleEvery, "runtime telemetry sampling cadence (heap, goroutines, GC gauges)")
-		ledgerPath  = flag.String("ledger", "", "append this session's performance record to this JSON-lines ledger (see cmd/perf)")
 
 		ckPath  = flag.String("checkpoint", "", "write fault-chunk snapshots to this file (atomic rewrite; SIGINT/SIGTERM flush the last chunk)")
 		ckEvery = flag.Int("checkpoint-every", 1, "fault chunks between snapshots")
 		ckChunk = flag.Int("checkpoint-chunk", 0, "faults per checkpoint chunk (0 = 16 batches' worth)")
 		resume  = flag.Bool("resume", false, "resume the session from the -checkpoint snapshot")
 	)
+	var of cliobs.Flags
+	of.Register(flag.CommandLine, cliobs.Usage{
+		Metrics:     "write the simulation metrics registry as JSON to this file at exit (\"-\" for stdout)",
+		DebugAddr:   "serve /metrics (Prometheus text) and /debug/pprof on this address while the session runs",
+		Trace:       "record an execution trace (session, per-worker batches, merges, checkpoints) and write Chrome trace-event JSON to this file; analyze with `perf trace` or load in Perfetto",
+		ProfileDir:  "capture the session's CPU/heap/alloc pprof profiles into this directory",
+		SampleEvery: "runtime telemetry sampling cadence (heap, goroutines, GC gauges)",
+		Ledger:      "append this session's performance record to this JSON-lines ledger (see cmd/perf)",
+	})
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "faultsim: unexpected arguments: %v (all options are flags)\n", flag.Args())
@@ -150,62 +149,28 @@ func main() {
 	}
 	fs := fault.NewSet(reps)
 	s := fsim.New(c)
-	var o *obs.Campaign
-	observing := *progress || *metrics != "" || *debugAddr != "" || *profileDir != "" ||
-		*ledgerPath != "" || *tracePath != ""
-	stack := &cliobs.Stack{MetricsPath: *metrics}
-	if observing {
-		var sink obs.Sink
-		if *progress {
-			p := obs.NewProgress(os.Stderr)
-			p.ShowBatches = true
-			sink = p
-		}
-		o = obs.New(obs.NewRegistry(), sink)
-		stack.Obs = o
+	var narrate obs.Sink
+	if *progress {
+		p := obs.NewProgress(os.Stderr)
+		p.ShowBatches = true
+		narrate = p
 	}
-	var hooks []obs.PhaseHook
-	if *profileDir != "" {
-		p, perr := prof.New(*profileDir)
-		if perr != nil {
-			fail(perr)
-		}
-		stack.Profiler = p
-		hooks = append(hooks, p)
+	stack, err := of.Open(narrate)
+	if err != nil {
+		fail(err)
 	}
-	var tracer *trace.Recorder
-	if *tracePath != "" {
-		tracer = trace.New()
-		stack.Trace = tracer
-		stack.TracePath = *tracePath
-		hooks = append(hooks, tracer)
-	}
-	o.SetPhaseHook(obs.PhaseHooks(hooks...))
-	if observing {
-		stack.Sampler = prof.StartSampler(o, *sampleEvery)
-	}
-	if *debugAddr != "" {
-		srv, serr := debugsrv.Start(*debugAddr, debugsrv.Config{
-			Registry: o.Metrics(),
-			Ready:    o.Started,
-			Trace:    tracer,
-		})
-		if serr != nil {
-			fail(errs.Wrap(errs.Input, fmt.Errorf("-debug-addr: %w", serr)))
-		}
-		stack.Debug = srv
-	}
+	o := stack.Obs
 	cleanup = func() { cliobs.Report(os.Stderr, "faultsim", stack.Shutdown()) }
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
 	start := time.Now()
-	opts := fsim.Options{Obs: o, EmitBatchEvents: *progress, Workers: *workers, Mode: simMode, Trace: tracer}
+	opts := fsim.Options{Obs: o, EmitBatchEvents: *progress, Workers: *workers, Mode: simMode, Trace: o.Trace()}
 	var st fsim.RunStats
 	// One "session" span brackets the whole simulation: it is what gives
-	// -profile-dir a capture window (fsim.Run itself uses the quiet
-	// Accumulate path) and the phase summary a single headline number.
+	// -profile-dir a capture window (fsim.Run itself records only a run
+	// span) and the phase summary a single headline number.
 	span := o.StartPhase("session")
 	if *ckPath != "" {
 		ck := fsim.SessionCheckpoint{
@@ -274,13 +239,13 @@ func main() {
 	// final sample and the metrics dump land first, so the ledger record
 	// below sees the session's true peaks.
 	cleanup()
-	if *metrics != "" && *metrics != "-" {
-		fmt.Printf("metrics written to %s\n", *metrics)
+	if of.Metrics != "" && of.Metrics != "-" {
+		fmt.Printf("metrics written to %s\n", of.Metrics)
 	}
-	if *tracePath != "" && *tracePath != "-" {
-		fmt.Printf("trace written to %s (analyze with `perf trace`, or load in Perfetto)\n", *tracePath)
+	if of.Trace != "" && of.Trace != "-" {
+		fmt.Printf("trace written to %s (analyze with `perf trace`, or load in Perfetto)\n", of.Trace)
 	}
-	if *ledgerPath != "" {
+	if of.Ledger != "" {
 		rec := &ledger.Record{
 			Kind:    ledger.KindFaultSim,
 			Circuit: c.Name,
@@ -297,10 +262,10 @@ func main() {
 		}
 		rec.FromObs(o)
 		rec.Stamp()
-		if err := ledger.Append(*ledgerPath, rec, nil); err != nil {
+		if err := ledger.Append(of.Ledger, rec, nil); err != nil {
 			fail(err)
 		}
-		fmt.Printf("ledger record appended to %s\n", *ledgerPath)
+		fmt.Printf("ledger record appended to %s\n", of.Ledger)
 	}
 
 	if *classify {

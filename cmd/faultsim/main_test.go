@@ -215,3 +215,22 @@ func TestResumeRejectsChangedSession(t *testing.T) {
 		}
 	}
 }
+
+// TestFlagSurface pins the -h output — every flag name, default and
+// usage string — byte for byte against testdata/help.golden.
+func TestFlagSurface(t *testing.T) {
+	cmd := exec.Command(bin, "-h")
+	cmd.Args[0] = "faultsim" // the usage header names argv[0]
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("-h: %v\n%s", err, stderr.String())
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "help.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stderr.String() != string(want) {
+		t.Errorf("-h output differs from testdata/help.golden:\ngot:\n%s\nwant:\n%s", stderr.String(), want)
+	}
+}

@@ -37,14 +37,11 @@ import (
 	"limscan/internal/circuit"
 	"limscan/internal/cliobs"
 	"limscan/internal/core"
-	"limscan/internal/debugsrv"
 	"limscan/internal/errs"
 	"limscan/internal/fsim"
 	"limscan/internal/ledger"
 	"limscan/internal/obs"
-	"limscan/internal/prof"
 	"limscan/internal/report"
-	"limscan/internal/trace"
 	"limscan/internal/vectors"
 )
 
@@ -83,16 +80,18 @@ func main() {
 		ckEvery = flag.Int("checkpoint-every", 1, "iterations between snapshots (the TS0 and final boundaries are always written)")
 		resume  = flag.Bool("resume", false, "resume the campaign from the -checkpoint snapshot")
 
-		progress  = flag.Bool("progress", false, "stream human-readable campaign progress to stderr")
-		metrics   = flag.String("metrics", "", "write the campaign metrics registry as JSON to this file at exit (\"-\" for stdout)")
-		events    = flag.String("events", "", "write the structured campaign event stream (JSON lines) to this file")
-		debugAddr = flag.String("debug-addr", "", "serve /metrics (Prometheus text) and /debug/pprof on this address while the campaign runs")
-
-		tracePath   = flag.String("trace", "", "record an execution trace (phases, fsim runs, per-worker batches, merges, checkpoints) and write Chrome trace-event JSON to this file; analyze with `perf trace` or load in Perfetto")
-		profileDir  = flag.String("profile-dir", "", "capture per-phase CPU/heap/alloc pprof profiles into this directory")
-		sampleEvery = flag.Duration("sample-every", prof.DefaultSampleEvery, "runtime telemetry sampling cadence (heap, goroutines, GC gauges)")
-		ledgerPath  = flag.String("ledger", "", "append this run's performance record to this JSON-lines ledger (see cmd/perf)")
+		progress = flag.Bool("progress", false, "stream human-readable campaign progress to stderr")
 	)
+	var of cliobs.Flags
+	of.Register(flag.CommandLine, cliobs.Usage{
+		Metrics:     "write the campaign metrics registry as JSON to this file at exit (\"-\" for stdout)",
+		Events:      "write the structured campaign event stream (JSON lines) to this file",
+		DebugAddr:   "serve /metrics (Prometheus text) and /debug/pprof on this address while the campaign runs",
+		Trace:       "record an execution trace (phases, fsim runs, per-worker batches, merges, checkpoints) and write Chrome trace-event JSON to this file; analyze with `perf trace` or load in Perfetto",
+		ProfileDir:  "capture per-phase CPU/heap/alloc pprof profiles into this directory",
+		SampleEvery: "runtime telemetry sampling cadence (heap, goroutines, GC gauges)",
+		Ledger:      "append this run's performance record to this JSON-lines ledger (see cmd/perf)",
+	})
 	flag.Parse()
 	if flag.NArg() > 0 {
 		failUsage(fmt.Errorf("unexpected arguments: %v (all options are flags)", flag.Args()))
@@ -134,61 +133,17 @@ func main() {
 
 	// One observer feeds every surface: the -v / -progress narration,
 	// the -events JSON-lines record, the -metrics snapshot, the
-	// -debug-addr exposition, the -profile-dir captures and the -ledger
-	// record share a single code path.
-	observing := *verbose || *progress || *metrics != "" || *events != "" ||
-		*debugAddr != "" || *profileDir != "" || *ledgerPath != "" || *tracePath != ""
-	var o *obs.Campaign
-	stack := &cliobs.Stack{MetricsPath: *metrics}
-	if observing {
-		var sinks []obs.Sink
-		if *verbose || *progress {
-			sinks = append(sinks, obs.NewProgress(os.Stderr))
-		}
-		if *events != "" {
-			f, err := os.Create(*events)
-			if err != nil {
-				fail(err)
-			}
-			stack.EventsFile = f
-			sinks = append(sinks, obs.NewJSONLines(f))
-		}
-		o = obs.New(obs.NewRegistry(), obs.Multi(sinks...))
-		stack.Obs = o
+	// -debug-addr exposition, the -profile-dir captures, the -trace file
+	// and the -ledger record share a single code path.
+	var narrate obs.Sink
+	if *verbose || *progress {
+		narrate = obs.NewProgress(os.Stderr)
 	}
-	// The profiler and the trace recorder both consume phase brackets;
-	// PhaseHooks fans the seam out to whichever the flags enabled.
-	var hooks []obs.PhaseHook
-	if *profileDir != "" {
-		p, err := prof.New(*profileDir)
-		if err != nil {
-			fail(err)
-		}
-		stack.Profiler = p
-		hooks = append(hooks, p)
+	stack, err := of.Open(narrate)
+	if err != nil {
+		fail(err)
 	}
-	var tracer *trace.Recorder
-	if *tracePath != "" {
-		tracer = trace.New()
-		stack.Trace = tracer
-		stack.TracePath = *tracePath
-		hooks = append(hooks, tracer)
-	}
-	o.SetPhaseHook(obs.PhaseHooks(hooks...))
-	if observing {
-		stack.Sampler = prof.StartSampler(o, *sampleEvery)
-	}
-	if *debugAddr != "" {
-		srv, err := debugsrv.Start(*debugAddr, debugsrv.Config{
-			Registry: o.Metrics(),
-			Ready:    o.Started,
-			Trace:    tracer,
-		})
-		if err != nil {
-			failUsage(fmt.Errorf("-debug-addr: %w", err))
-		}
-		stack.Debug = srv
-	}
+	o := stack.Obs
 	// Every exit path flushes the stack: the normal return below, the
 	// interrupt's exit(3), and fail's error exits.
 	cleanup = func() { cliobs.Report(os.Stderr, "limscan", stack.Shutdown()) }
@@ -202,7 +157,6 @@ func main() {
 	r.SetObserver(o)
 	r.SetWorkers(*workers)
 	r.SetMode(simMode)
-	r.SetTracer(tracer)
 	start := time.Now()
 
 	var res *core.Result
@@ -268,16 +222,16 @@ func main() {
 	// final sample and the metrics dump land first, so the ledger record
 	// below sees the run's true peaks.
 	cleanup()
-	if *metrics != "" && *metrics != "-" {
-		fmt.Printf("metrics written to %s\n", *metrics)
+	if of.Metrics != "" && of.Metrics != "-" {
+		fmt.Printf("metrics written to %s\n", of.Metrics)
 	}
-	if *tracePath != "" && *tracePath != "-" {
-		fmt.Printf("trace written to %s (analyze with `perf trace`, or load in Perfetto)\n", *tracePath)
+	if of.Trace != "" && of.Trace != "-" {
+		fmt.Printf("trace written to %s (analyze with `perf trace`, or load in Perfetto)\n", of.Trace)
 	}
 	if stack.EventsFile != nil {
-		fmt.Printf("events written to %s\n", *events)
+		fmt.Printf("events written to %s\n", of.Events)
 	}
-	if *ledgerPath != "" {
+	if of.Ledger != "" {
 		rec := &ledger.Record{
 			Kind:        ledger.KindCampaign,
 			Circuit:     c.Name,
@@ -292,10 +246,10 @@ func main() {
 		}
 		rec.FromObs(o)
 		rec.Stamp()
-		if err := ledger.Append(*ledgerPath, rec, nil); err != nil {
+		if err := ledger.Append(of.Ledger, rec, nil); err != nil {
 			fail(err)
 		}
-		fmt.Printf("ledger record appended to %s\n", *ledgerPath)
+		fmt.Printf("ledger record appended to %s\n", of.Ledger)
 	}
 	if *export != "" {
 		if err := exportProgram(*export, c, res); err != nil {

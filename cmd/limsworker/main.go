@@ -41,8 +41,6 @@ import (
 	"limscan/internal/dispatch"
 	"limscan/internal/errs"
 	"limscan/internal/ledger"
-	"limscan/internal/obs"
-	"limscan/internal/trace"
 )
 
 func main() {
@@ -62,14 +60,17 @@ func run(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("limsworker", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		url        = fs.String("url", "", "coordinator base URL, e.g. http://127.0.0.1:8080 (required)")
-		id         = fs.String("id", "", "worker id unique within the fleet (default host-pid)")
-		poll       = fs.Duration("poll", 0, "idle re-poll interval override (0 = coordinator's suggestion)")
-		quiet      = fs.Bool("quiet", false, "suppress per-unit lifecycle lines")
-		metrics    = fs.String("metrics", "", "write the worker's metrics registry as JSON at exit (- for stdout)")
-		tracePath  = fs.String("trace", "", "write the worker's execution trace as Chrome trace-event JSON at exit (- for stdout)")
-		ledgerPath = fs.String("ledger", "", "append a worker-session record to this performance ledger at exit")
+		url   = fs.String("url", "", "coordinator base URL, e.g. http://127.0.0.1:8080 (required)")
+		id    = fs.String("id", "", "worker id unique within the fleet (default host-pid)")
+		poll  = fs.Duration("poll", 0, "idle re-poll interval override (0 = coordinator's suggestion)")
+		quiet = fs.Bool("quiet", false, "suppress per-unit lifecycle lines")
 	)
+	var of cliobs.Flags
+	of.Register(fs, cliobs.Usage{
+		Metrics: "write the worker's metrics registry as JSON at exit (- for stdout)",
+		Trace:   "write the worker's execution trace as Chrome trace-event JSON at exit (- for stdout)",
+		Ledger:  "append a worker-session record to this performance ledger at exit",
+	})
 	if err := fs.Parse(args); err != nil {
 		return errs.ExitUsage
 	}
@@ -93,13 +94,10 @@ func run(args []string, stderr io.Writer) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	o := obs.New(obs.NewRegistry(), nil)
-	rec := trace.New()
-	stack := &cliobs.Stack{
-		Obs:         o,
-		MetricsPath: *metrics,
-		Trace:       rec,
-		TracePath:   *tracePath,
+	stack, err := of.Open(nil)
+	if err != nil {
+		fmt.Fprintf(stderr, "limsworker: %v\n", err)
+		return errs.ExitCode(err)
 	}
 	// The deferred closure (not a direct defer of Report) matters: defer
 	// evaluates arguments immediately, and Shutdown must run at exit
@@ -112,16 +110,16 @@ func run(args []string, stderr io.Writer) int {
 		log = nil
 	}
 	start := time.Now()
-	err := dispatch.RunWorker(ctx, dispatch.WorkerOptions{
+	err = dispatch.RunWorker(ctx, dispatch.WorkerOptions{
 		ID:      worker,
 		BaseURL: *url,
 		Poll:    *poll,
 		Log:     log,
-		Trace:   rec,
-		Obs:     o,
+		Trace:   stack.Obs.Trace(),
+		Obs:     stack.Obs,
 	})
 	wall := time.Since(start)
-	if *ledgerPath != "" {
+	if of.Ledger != "" {
 		// JobID doubles as the worker id: a worker session belongs to the
 		// fleet, not to any one campaign job.
 		lrec := &ledger.Record{
@@ -130,7 +128,7 @@ func run(args []string, stderr io.Writer) int {
 			WallSeconds: wall.Seconds(),
 		}
 		lrec.Stamp()
-		if lerr := ledger.Append(*ledgerPath, lrec, nil); lerr != nil {
+		if lerr := ledger.Append(of.Ledger, lrec, nil); lerr != nil {
 			fmt.Fprintf(stderr, "limsworker: ledger append failed: %v\n", lerr)
 		}
 	}

@@ -338,10 +338,9 @@ type Runner struct {
 	trans *atpg.TransEngine
 	// obs is the runner-level observer, used when a Config carries none.
 	obs *obs.Campaign
-	// tracer, when set, records an execution trace of every run: phase
-	// spans arrive through the obs.PhaseHook seam, and the runner
-	// threads the recorder into fsim and the checkpoint writer for the
-	// worker-level spans.
+	// tracer, when set, replaces the observer's recorder for the spans
+	// the runner records itself: fsim runs, worker batches, merges and
+	// checkpoint writes (see recorder).
 	tracer *trace.Recorder
 	// sessions, when set, intercepts every fault-simulation session of a
 	// campaign (see SessionRunner in units.go) — the distributed-dispatch
@@ -363,12 +362,21 @@ func (r *Runner) SetObserver(o *obs.Campaign) { r.obs = o }
 
 // SetTracer attaches an execution-trace recorder to every run the
 // runner executes: fault-simulation runs, per-worker batches, merges
-// and checkpoint writes become spans (see internal/trace). Campaign
-// phase spans are not recorded here — attach the same recorder to the
-// observer with SetPhaseHook (the CLIs do both). Nil detaches. Tracing
-// is purely observational: traced and untraced campaigns produce
-// byte-identical results.
+// and checkpoint writes become spans (see internal/trace). Without it
+// they land on the observer's own recorder, next to its phase spans —
+// the one-recorder setup the CLIs use. Nil detaches. Tracing is purely
+// observational: traced and untraced campaigns produce byte-identical
+// results.
 func (r *Runner) SetTracer(tr *trace.Recorder) { r.tracer = tr }
+
+// recorder resolves the effective trace recorder for a run observed by
+// o: the SetTracer recorder if any, else the observer's.
+func (r *Runner) recorder(o *obs.Campaign) *trace.Recorder {
+	if r.tracer != nil {
+		return r.tracer
+	}
+	return o.Trace()
+}
 
 // observer resolves the effective observer for a run.
 func (r *Runner) observer(cfg Config) *obs.Campaign {
@@ -525,7 +533,7 @@ func (r *Runner) run(ctx context.Context, cfg Config, ck *CheckpointOptions, sna
 	res := &Result{Config: cfg, TotalFaults: len(fs.Faults)}
 	o.Emit(obs.Event{Kind: obs.KindCampaignStart, Circuit: r.c.Name, Faults: res.TotalFaults})
 	o.Counter("campaign_runs_total").Inc()
-	ckw := &checkpointWriter{opts: ck, o: o, tr: r.tracer, wroteIter: -1}
+	ckw := &checkpointWriter{opts: ck, o: o, tr: r.recorder(o), wroteIter: -1}
 
 	// Step 2: generate TS0. On resume this regenerates the identical
 	// test set (it is a pure function of the configured seed) without
@@ -601,7 +609,7 @@ func (r *Runner) run(ctx context.Context, cfg Config, ck *CheckpointOptions, sna
 	// The whole loop is one "search" phase span: procedure1/fault_sim
 	// below use the quiet Accumulate path (they run thousands of times),
 	// so this span is what gives the dominant cost a StartPhase bracket —
-	// and with it a profile capture when a PhaseHook is attached. The
+	// and with it a per-phase profile under -profile-dir. The
 	// endSearch closure ends it exactly once whichever exit path runs,
 	// including the error returns inside the loop (via the defer).
 	searchSpan := o.StartPhase("search")

@@ -71,7 +71,7 @@ func (r *Runner) SetSessionRunner(sr SessionRunner) { r.sessions = sr }
 // runSession executes one session through the seam: the configured
 // SessionRunner if any, the in-process simulator otherwise.
 func (r *Runner) runSession(ctx context.Context, cfg Config, ref SessionRef, tests []scan.Test, fs *fault.Set, o *obs.Campaign) (fsim.RunStats, error) {
-	opts := fsim.Options{Obs: o, Workers: r.fsimWorkers(cfg), Mode: r.fsimMode(cfg), Ctx: ctx, Trace: r.tracer}
+	opts := fsim.Options{Obs: o, Workers: r.fsimWorkers(cfg), Mode: r.fsimMode(cfg), Ctx: ctx, Trace: r.recorder(o)}
 	if r.sessions != nil {
 		return r.sessions.RunSession(SessionRequest{
 			Runner: r, Config: cfg, Session: ref, Tests: tests, Faults: fs, Options: opts,

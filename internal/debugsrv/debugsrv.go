@@ -38,9 +38,9 @@ type Config struct {
 	// Registry backs /metrics; nil serves an empty exposition.
 	Registry *obs.Registry
 	// Ready backs /readyz: the endpoint answers 200 once Ready returns
-	// true. Nil means always ready. The CLIs pass the campaign
-	// observer's Started method, so readiness flips exactly when the
-	// first phase span opens; the campaign service flips it once crash
+	// true. Nil means always ready. The CLIs pass their recorder's
+	// Started method, so readiness flips exactly when the first phase
+	// span opens; the campaign service flips it once crash
 	// recovery has re-queued every incomplete job.
 	Ready func() bool
 	// Trace backs /trace; nil makes the endpoint 404.

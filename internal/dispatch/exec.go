@@ -83,16 +83,6 @@ func (e *CampaignExec) RunSession(req core.SessionRequest) (fsim.RunStats, error
 		trace.KV{K: "units", V: int64(len(units))},
 		trace.KV{K: "batches", V: int64(stats.Batches)},
 		trace.KV{K: "mode", V: int64(req.Options.Mode)})
-	if o := req.Options.Obs; o != nil {
-		o.Gauge("fsim_mode").Set(float64(req.Options.Mode))
-		o.Counter("fsim_runs_total").Inc()
-		o.Counter("fsim_tests_total").Add(int64(len(req.Tests)))
-		o.Counter("fsim_batches_total").Add(int64(stats.Batches))
-		o.Counter("fsim_cycles_total").Add(stats.Cycles)
-		o.Counter("fsim_detected_total").Add(int64(stats.Detected))
-		o.Counter("fsim_detected_po_total").Add(int64(stats.DetectedAtPO))
-		o.Counter("fsim_detected_limited_scan_total").Add(int64(stats.DetectedAtLimitedScan))
-		o.Counter("fsim_detected_scan_out_total").Add(int64(stats.DetectedAtScanOut))
-	}
+	fsim.ObserveRun(req.Options.Obs, req.Options.Mode, len(req.Tests), stats)
 	return stats, nil
 }

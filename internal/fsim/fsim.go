@@ -96,7 +96,9 @@ type Options struct {
 	// merge-barrier wait spans and the ordered-merge span (see
 	// internal/trace). Recording happens strictly after batch results
 	// exist and the merge never consults it, so traced and untraced runs
-	// are byte-identical. Nil keeps the hot path untouched.
+	// are byte-identical. The fsim_run span also advances Obs's
+	// phase_seconds gauge, and on Obs's own recorder it is the phase
+	// summary's fsim_run row. Nil keeps the hot path untouched.
 	Trace *trace.Recorder
 	// EmitBatchEvents additionally emits one fsim_batch event per fault
 	// batch through Obs — live progress for a single long simulation
@@ -284,14 +286,6 @@ func (s *Simulator) Run(tests []scan.Test, fs *fault.Set, opts Options) (stats R
 	if err := opts.Validate(); err != nil {
 		return RunStats{}, err
 	}
-	if o := opts.Obs; o != nil {
-		// Accumulate, not StartPhase: Run fires thousands of times per
-		// campaign, so a span (event + profile capture) per call would
-		// drown the observability it feeds. The campaign-level "search"
-		// span brackets these from above.
-		t0 := time.Now()
-		defer func() { o.Accumulate("fsim_run", time.Since(t0)) }()
-	}
 	per := opts.FaultsPerPass
 	if per == 0 {
 		per = LanesPerWord
@@ -367,26 +361,40 @@ func (s *Simulator) Run(tests []scan.Test, fs *fault.Set, opts Options) (stats R
 		}
 	}
 	if tr != nil {
-		tr.Track(trace.MainTrack).Add(trace.CatRun, trace.SpanRun, runStart, tr.Now()-runStart,
+		// A run span, not a phase bracket: Run fires thousands of times
+		// per campaign, so an event and a profile capture per call would
+		// drown the observability it feeds. The campaign-level "search"
+		// phase brackets these from above.
+		d := tr.Now() - runStart
+		tr.Track(trace.MainTrack).Add(trace.CatRun, trace.SpanRun, runStart, d,
 			trace.KV{K: "workers", V: int64(w)},
 			trace.KV{K: "batches", V: int64(stats.Batches)},
 			trace.KV{K: "mode", V: int64(opts.Mode)})
+		opts.Obs.PhaseGauge(trace.SpanRun).Add(d.Seconds())
 	}
-	if o := opts.Obs; o != nil {
-		o.Gauge("fsim_mode").Set(float64(opts.Mode))
-		if opts.Mode == PatternParallel {
-			o.Gauge("fsim_patterns_per_pass").Set(float64(opts.patternsPerPass()))
-		}
-		o.Counter("fsim_runs_total").Inc()
-		o.Counter("fsim_tests_total").Add(int64(len(tests)))
-		o.Counter("fsim_batches_total").Add(int64(stats.Batches))
-		o.Counter("fsim_cycles_total").Add(stats.Cycles)
-		o.Counter("fsim_detected_total").Add(int64(stats.Detected))
-		o.Counter("fsim_detected_po_total").Add(int64(stats.DetectedAtPO))
-		o.Counter("fsim_detected_limited_scan_total").Add(int64(stats.DetectedAtLimitedScan))
-		o.Counter("fsim_detected_scan_out_total").Add(int64(stats.DetectedAtScanOut))
+	ObserveRun(opts.Obs, opts.Mode, len(tests), stats)
+	if opts.Mode == PatternParallel {
+		opts.Obs.Gauge("fsim_patterns_per_pass").Set(float64(opts.patternsPerPass()))
 	}
 	return stats, nil
+}
+
+// ObserveRun records one finished session's fsim_* metrics on o — the
+// bookkeeping Run and the distributed session runner share, so their
+// ledger records stay comparable. A nil o records nothing.
+func ObserveRun(o *obs.Campaign, mode Mode, tests int, stats RunStats) {
+	if o == nil {
+		return
+	}
+	o.Gauge("fsim_mode").Set(float64(mode))
+	o.Counter("fsim_runs_total").Inc()
+	o.Counter("fsim_tests_total").Add(int64(tests))
+	o.Counter("fsim_batches_total").Add(int64(stats.Batches))
+	o.Counter("fsim_cycles_total").Add(stats.Cycles)
+	o.Counter("fsim_detected_total").Add(int64(stats.Detected))
+	o.Counter("fsim_detected_po_total").Add(int64(stats.DetectedAtPO))
+	o.Counter("fsim_detected_limited_scan_total").Add(int64(stats.DetectedAtLimitedScan))
+	o.Counter("fsim_detected_scan_out_total").Add(int64(stats.DetectedAtScanOut))
 }
 
 // mergeBatch folds one batch's detection mask into the session: it marks

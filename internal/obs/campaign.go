@@ -1,101 +1,42 @@
 package obs
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
+
+	"limscan/internal/trace"
 )
 
 // Campaign is the observer handle threaded through the runner, the fault
 // simulator and the baseline: a metrics registry plus an optional event
-// sink plus per-phase wall-clock accounting. A nil *Campaign is the
-// uninstrumented mode — every method is a no-op — so callers hold one
-// pointer and never branch.
+// sink plus the trace recorder that holds its phase spans. A nil
+// *Campaign is the uninstrumented mode — every method is a no-op — so
+// callers hold one pointer and never branch.
 type Campaign struct {
 	reg  *Registry
 	sink Sink
-	now  func() time.Time
-	hook PhaseHook
-
-	mu     sync.Mutex
-	phases map[string]*PhaseSpan
-	order  []string
-
-	// started flips when the first phase span opens — the campaign has
-	// finished setup and is doing real work. It backs the debugsrv
-	// /readyz readiness contract, so it is atomic: HTTP handlers read it
-	// while the campaign goroutine runs.
-	started atomic.Bool
+	rec  *trace.Recorder
 }
 
-// PhaseHook observes the explicit phase spans of a campaign — the
-// StartPhase/End brackets, not the quiet Accumulate path. It is the seam
-// per-phase profilers (internal/prof) plug into without obs depending on
-// them. Implementations must tolerate PhaseEnd calls for phases they
-// never saw start and must be safe for concurrent use.
-type PhaseHook interface {
-	PhaseStart(name string)
-	PhaseEnd(name string)
-}
-
-// SetPhaseHook attaches a hook that is called at every StartPhase /
-// Span.End bracket. Nil detaches. Call it before the campaign starts:
-// the hook field is not synchronized against in-flight spans. To attach
-// several hooks (a profiler and a trace recorder, say), combine them
-// with PhaseHooks.
-func (o *Campaign) SetPhaseHook(h PhaseHook) {
+// Trace returns the campaign's recorder (nil for a nil Campaign): every
+// phase bracket and quiet accumulation is a span there, and a runner
+// with no tracer of its own records its fault-simulation spans there
+// too, so one export holds the whole run.
+func (o *Campaign) Trace() *trace.Recorder {
 	if o == nil {
-		return
-	}
-	o.hook = h
-}
-
-// multiHook fans phase brackets out to several hooks.
-type multiHook []PhaseHook
-
-func (m multiHook) PhaseStart(name string) {
-	for _, h := range m {
-		h.PhaseStart(name)
-	}
-}
-
-func (m multiHook) PhaseEnd(name string) {
-	for _, h := range m {
-		h.PhaseEnd(name)
-	}
-}
-
-// PhaseHooks combines hooks into one, dropping nils. Zero usable hooks
-// yield nil (no hook); one is returned unwrapped.
-func PhaseHooks(hooks ...PhaseHook) PhaseHook {
-	var out multiHook
-	for _, h := range hooks {
-		if h != nil {
-			out = append(out, h)
-		}
-	}
-	switch len(out) {
-	case 0:
 		return nil
-	case 1:
-		return out[0]
 	}
-	return out
+	return o.rec
 }
 
-// Started reports whether the campaign has opened its first phase span.
-// Safe for concurrent use (the debugsrv /readyz handler polls it); a
-// nil Campaign is never started.
+// Started reports whether the campaign has opened its first phase span
+// (the recorder's readiness latch behind the debugsrv /readyz
+// endpoint). A nil Campaign is never started.
 func (o *Campaign) Started() bool {
-	return o != nil && o.started.Load()
+	return o.Trace().Started()
 }
 
 // PhaseSpan is the accumulated wall-clock time of one named phase.
-type PhaseSpan struct {
-	Name  string        `json:"name"`
-	Count int           `json:"count"`
-	Total time.Duration `json:"total"`
-}
+type PhaseSpan = trace.Total
 
 // New returns a Campaign over the given registry and sink. A nil
 // registry gets a fresh one (metrics are always collectable); a nil sink
@@ -104,12 +45,7 @@ func New(reg *Registry, sink Sink) *Campaign {
 	if reg == nil {
 		reg = NewRegistry()
 	}
-	return &Campaign{
-		reg:    reg,
-		sink:   sink,
-		now:    time.Now,
-		phases: make(map[string]*PhaseSpan),
-	}
+	return &Campaign{reg: reg, sink: sink, rec: trace.New()}
 }
 
 // Metrics returns the underlying registry (nil for a nil Campaign).
@@ -139,7 +75,7 @@ func (o *Campaign) Emit(e Event) {
 		return
 	}
 	if e.Time.IsZero() {
-		e.Time = o.now()
+		e.Time = time.Now()
 	}
 	o.sink.OnEvent(e)
 }
@@ -148,69 +84,53 @@ func (o *Campaign) Emit(e Event) {
 type Span struct {
 	o     *Campaign
 	name  string
-	start time.Time
+	phase trace.Phase
 }
 
-// StartPhase opens a named wall-clock span and emits a phase_start
-// event. Close it with End.
+// StartPhase opens a named phase bracket on the campaign's recorder and
+// emits a phase_start event. Close it with End.
 func (o *Campaign) StartPhase(name string) *Span {
 	if o == nil {
 		return nil
 	}
-	o.started.Store(true)
+	p := o.rec.StartPhase(name)
 	o.Emit(Event{Kind: KindPhaseStart, Phase: name})
-	if o.hook != nil {
-		o.hook.PhaseStart(name)
-	}
-	return &Span{o: o, name: name, start: o.now()}
+	return &Span{o: o, name: name, phase: p}
 }
 
-// End closes the span: the elapsed time joins the phase accumulator, the
+// End closes the span: the recorder keeps it as a phase span, the
 // phase duration gauge `phase_seconds{phase="name"}` advances, and a
 // phase_end event carries the span length.
 func (s *Span) End() time.Duration {
 	if s == nil {
 		return 0
 	}
-	d := s.o.now().Sub(s.start)
-	if s.o.hook != nil {
-		s.o.hook.PhaseEnd(s.name)
-	}
-	s.o.Accumulate(s.name, d)
+	d := s.phase.End()
+	s.o.PhaseGauge(s.name).Add(d.Seconds())
 	s.o.Emit(Event{Kind: KindPhaseEnd, Phase: s.name, Seconds: d.Seconds()})
 	return d
 }
 
-// Accumulate adds a duration to a named phase without emitting events —
-// the quiet path for spans measured hundreds of times per campaign
-// (Procedure 1 insertion, individual fault-simulation sessions).
+// Accumulate records a quiet span of length d without emitting events —
+// the path for spans measured hundreds of times per campaign (Procedure
+// 1 insertion, the search's fault-simulation sessions). Like End it
+// advances the phase's `phase_seconds` gauge.
 func (o *Campaign) Accumulate(name string, d time.Duration) {
 	if o == nil {
 		return
 	}
-	o.Gauge(Label("phase_seconds", "phase", name)).Add(d.Seconds())
-	o.mu.Lock()
-	p := o.phases[name]
-	if p == nil {
-		p = &PhaseSpan{Name: name}
-		o.phases[name] = p
-		o.order = append(o.order, name)
-	}
-	p.Count++
-	p.Total += d
-	o.mu.Unlock()
+	o.PhaseGauge(name).Add(d.Seconds())
+	o.rec.AddQuiet(name, d)
 }
 
-// PhaseSummary returns the accumulated phase spans in first-seen order.
+// PhaseGauge returns the `phase_seconds{phase="name"}` gauge.
+func (o *Campaign) PhaseGauge(name string) *Gauge {
+	return o.Gauge(Label("phase_seconds", "phase", name))
+}
+
+// PhaseSummary returns the campaign's phase totals in first-seen order:
+// phase brackets, quiet accumulations and fault-simulation runs, summed
+// from the recorder's spans.
 func (o *Campaign) PhaseSummary() []PhaseSpan {
-	if o == nil {
-		return nil
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make([]PhaseSpan, 0, len(o.order))
-	for _, name := range o.order {
-		out = append(out, *o.phases[name])
-	}
-	return out
+	return o.Trace().Totals()
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -66,81 +65,41 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
-// recordingHook collects PhaseStart/PhaseEnd calls.
-type recordingHook struct {
-	mu    sync.Mutex
-	calls []string
-}
+// recordingListener collects the phase brackets the recorder reports.
+type recordingListener struct{ calls []string }
 
-func (h *recordingHook) PhaseStart(name string) {
-	h.mu.Lock()
-	h.calls = append(h.calls, "start:"+name)
-	h.mu.Unlock()
-}
+func (l *recordingListener) PhaseStart(name string) { l.calls = append(l.calls, "start:"+name) }
+func (l *recordingListener) PhaseEnd(name string)   { l.calls = append(l.calls, "end:"+name) }
 
-func (h *recordingHook) PhaseEnd(name string) {
-	h.mu.Lock()
-	h.calls = append(h.calls, "end:"+name)
-	h.mu.Unlock()
-}
-
-func TestPhaseHook(t *testing.T) {
+// TestPhaseListener: the StartPhase/End brackets reach the recorder's
+// listener slot; the quiet Accumulate path does not.
+func TestPhaseListener(t *testing.T) {
 	o := New(nil, nil)
-	h := &recordingHook{}
-	o.SetPhaseHook(h)
+	l := &recordingListener{}
+	o.Trace().SetPhaseListener(l)
 	o.StartPhase("alpha").End()
-	o.Accumulate("quiet", 1) // the quiet path never reaches the hook
+	o.Accumulate("quiet", 1)
 	o.StartPhase("beta").End()
-	want := []string{"start:alpha", "end:alpha", "start:beta", "end:beta"}
-	if len(h.calls) != len(want) {
-		t.Fatalf("hook calls = %v, want %v", h.calls, want)
+	want := "start:alpha end:alpha start:beta end:beta"
+	if got := strings.Join(l.calls, " "); got != want {
+		t.Fatalf("listener calls = %q, want %q", got, want)
 	}
-	for i := range want {
-		if h.calls[i] != want[i] {
-			t.Fatalf("hook calls = %v, want %v", h.calls, want)
-		}
+	var names []string
+	for _, p := range o.PhaseSummary() {
+		names = append(names, p.Name)
+	}
+	if got := strings.Join(names, " "); got != "alpha quiet beta" {
+		t.Errorf("phase summary = %q, want alpha quiet beta", got)
 	}
 
-	// Nil campaign and nil hook stay no-ops.
+	// A nil campaign and an emptied slot stay no-ops.
 	var nilC *Campaign
-	nilC.SetPhaseHook(h)
+	nilC.Trace().SetPhaseListener(l)
 	nilC.StartPhase("x").End()
-	o.SetPhaseHook(nil)
+	o.Trace().SetPhaseListener(nil)
 	o.StartPhase("gamma").End()
-	if len(h.calls) != len(want) {
-		t.Errorf("detached hook still called: %v", h.calls)
-	}
-}
-
-func TestPhaseHooksCombinator(t *testing.T) {
-	a, b := &recordingHook{}, &recordingHook{}
-
-	// Zero usable hooks collapse to nil — no wrapper to call per phase.
-	if h := PhaseHooks(); h != nil {
-		t.Errorf("PhaseHooks() = %v, want nil", h)
-	}
-	if h := PhaseHooks(nil, nil); h != nil {
-		t.Errorf("PhaseHooks(nil, nil) = %v, want nil", h)
-	}
-	// One hook is returned unwrapped.
-	if h := PhaseHooks(a, nil); h != PhaseHook(a) {
-		t.Errorf("PhaseHooks(a, nil) = %v, want a unwrapped", h)
-	}
-
-	// Several hooks all see every bracket, in argument order.
-	o := New(nil, nil)
-	o.SetPhaseHook(PhaseHooks(a, nil, b))
-	o.StartPhase("alpha").End()
-	want := []string{"start:alpha", "end:alpha"}
-	for name, h := range map[string]*recordingHook{"a": a, "b": b} {
-		if len(h.calls) != len(want) {
-			t.Fatalf("hook %s calls = %v, want %v", name, h.calls, want)
-		}
-		for i := range want {
-			if h.calls[i] != want[i] {
-				t.Fatalf("hook %s calls = %v, want %v", name, h.calls, want)
-			}
-		}
+	if nilC.PhaseSummary() != nil || len(l.calls) != 4 {
+		t.Errorf("nil campaign or emptied slot reached the listener: %v", l.calls)
 	}
 }
 

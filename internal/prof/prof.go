@@ -1,8 +1,8 @@
 // Package prof is the performance-observability layer behind the
 // -profile-dir and runtime-telemetry flags: per-phase CPU/heap/alloc
-// profile capture driven by the obs phase spans, and a background
-// sampler that feeds the Go runtime's memory and scheduler state into
-// obs gauges.
+// profile capture driven by the trace recorder's phase brackets, and a
+// background sampler that feeds the Go runtime's memory and scheduler
+// state into obs gauges.
 //
 // Like the rest of the observability stack, everything is nil-safe: a
 // nil *Profiler or *Sampler accepts every method as a no-op, so the
@@ -18,9 +18,9 @@ import (
 	"sync"
 )
 
-// Profiler captures one pprof profile set per observed phase. It
-// implements obs.PhaseHook: attach it with Campaign.SetPhaseHook and
-// every StartPhase/End bracket produces
+// Profiler captures one pprof profile set per observed phase. It is a
+// trace.PhaseListener: attach it with Recorder.SetPhaseListener on the
+// observer's recorder and every StartPhase/End bracket produces
 //
 //	<dir>/<phase>.cpu.pprof     CPU samples over the phase
 //	<dir>/<phase>.heap.pprof    live-heap profile at phase end
@@ -70,7 +70,7 @@ func (p *Profiler) Dir() string {
 	return p.dir
 }
 
-// PhaseStart begins the phase's CPU capture (obs.PhaseHook).
+// PhaseStart begins the phase's CPU capture.
 func (p *Profiler) PhaseStart(name string) {
 	if p == nil {
 		return
@@ -105,7 +105,7 @@ func (p *Profiler) PhaseStart(name string) {
 }
 
 // PhaseEnd stops the phase's CPU capture and writes its heap and alloc
-// profiles (obs.PhaseHook). Ends without a matching start are ignored.
+// profiles. Ends without a matching start are ignored.
 func (p *Profiler) PhaseEnd(name string) {
 	if p == nil {
 		return

@@ -41,7 +41,7 @@ func TestProfilerPerPhaseFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := obs.New(nil, nil)
-	o.SetPhaseHook(p)
+	o.Trace().SetPhaseListener(p)
 
 	span := o.StartPhase("ts0_sim")
 	spin(20 * time.Millisecond)

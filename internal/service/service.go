@@ -335,11 +335,12 @@ func (s *Service) tryCacheHit(sp Spec, hash string) (View, bool) {
 		return View{}, false
 	}
 	j := s.newJob(sp, hash)
+	j.cacheHit = true // not yet visible to any other goroutine
+	summary := m.Summary
+	s.appendLedger(j, &summary, 0)
 	now := time.Now().UTC()
 	s.mu.Lock()
 	j.state = StateDone
-	j.cacheHit = true
-	summary := m.Summary
 	j.summary = &summary
 	j.report = []byte(m.Report)
 	j.started, j.finished = now, now
@@ -353,7 +354,6 @@ func (s *Service) tryCacheHit(sp Spec, hash string) (View, bool) {
 	s.o.Counter(obs.Label("service_cache_hits_by_layer_total", "layer", layer)).Inc()
 	s.o.Gauge("service_cache_resident").Set(float64(s.cache.Resident()))
 	s.o.Emit(obs.Event{Kind: obs.KindCacheHit, Job: j.id, Circuit: sp.Circuit})
-	s.appendLedger(j, 0)
 	return v, true
 }
 
@@ -420,6 +420,7 @@ func (s *Service) runJob(j *job) {
 	}
 	_ = os.Remove(s.specPath(j.hash))
 
+	s.appendLedger(j, &summary, wall)
 	s.mu.Lock()
 	j.state = StateDone
 	j.resumed = resumed
@@ -438,7 +439,6 @@ func (s *Service) runJob(j *job) {
 	s.o.Gauge("service_cache_resident").Set(float64(s.cache.Resident()))
 	s.o.Emit(obs.Event{Kind: obs.KindJobDone, Job: j.id, Circuit: j.spec.Circuit,
 		Detected: summary.Detected, Cycles: summary.TotalCycles, Coverage: summary.Coverage})
-	s.appendLedger(j, wall)
 }
 
 // runCampaign builds the per-job runner and executes RunJob with the
@@ -662,8 +662,10 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	}
 }
 
-// appendLedger records one finished job (wall is zero for cache hits).
-func (s *Service) appendLedger(j *job, wall time.Duration) {
+// appendLedger records one finishing job (wall is zero for cache hits).
+// Both paths call it before publishing the job, so a client that sees a
+// job done always finds its record in the ledger.
+func (s *Service) appendLedger(j *job, sum *Summary, wall time.Duration) {
 	if s.opts.LedgerPath == "" {
 		return
 	}
@@ -677,12 +679,10 @@ func (s *Service) appendLedger(j *job, wall time.Duration) {
 		CacheHit:    j.cacheHit,
 		Recovered:   j.recovered,
 		WallSeconds: wall.Seconds(),
-	}
-	if j.summary != nil {
-		rec.Faults = j.summary.Faults
-		rec.Detected = j.summary.Detected
-		rec.Coverage = j.summary.Coverage
-		rec.TotalCycles = j.summary.TotalCycles
+		Faults:      sum.Faults,
+		Detected:    sum.Detected,
+		Coverage:    sum.Coverage,
+		TotalCycles: sum.TotalCycles,
 	}
 	s.mu.Unlock()
 	if s.opts.Dispatch != nil {

@@ -400,7 +400,8 @@ func TestShutdownRecovery(t *testing.T) {
 }
 
 // TestLedgerRecords: finished jobs and cache hits both land in the
-// ledger, distinguishable by the CacheHit flag.
+// ledger, distinguishable by the CacheHit flag, and a job's record is
+// written before the job is published as done.
 func TestLedgerRecords(t *testing.T) {
 	path := t.TempDir() + "/ledger.jsonl"
 	s, _ := newTestService(t, func(o *Options) { o.LedgerPath = path })
@@ -409,6 +410,13 @@ func TestLedgerRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, s, v.ID)
+	recs, _, err := ledger.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ledger.Filter(recs, ledger.KindService, ""); len(got) != 1 || got[0].JobID != v.ID {
+		t.Fatalf("job %s seen done before its ledger record was written: %+v", v.ID, got)
+	}
 	if _, _, err := s.Submit(fastSpec(11)); err != nil { // cache hit
 		t.Fatal(err)
 	}

@@ -284,14 +284,17 @@ func (a *Analysis) diagnose() string {
 // every phase, fsim run, merge and checkpoint write happens on it — so
 // exclusive time there IS the critical-path breakdown: a span's own
 // duration minus the spans nested inside it by time containment.
+// Quiet accumulations are skipped: they re-time work the phase and run
+// spans already cover.
 func criticalPath(t *ModelTrack) []PathSlice {
-	n := len(t.Spans)
-	if n == 0 {
-		return nil
+	var idx []int
+	for i := range t.Spans {
+		if t.Spans[i].Cat != CatQuiet {
+			idx = append(idx, i)
+		}
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	if len(idx) == 0 {
+		return nil
 	}
 	// Sort by start ascending; ties: longer first (parents before
 	// children).

@@ -36,7 +36,8 @@ import (
 // Span categories. The analyzer (analyze.go) keys off these, so the
 // recorder and the diagnoser agree by construction.
 const (
-	CatPhase      = "phase"      // campaign phase brackets (obs.PhaseHook)
+	CatPhase      = "phase"      // campaign phase brackets (Recorder.StartPhase)
+	CatQuiet      = "quiet"      // quiet phase accumulations; Analyze skips them
 	CatRun        = "run"        // one fsim.Run session
 	CatBatch      = "batch"      // one fault batch simulated by a worker
 	CatWait       = "wait"       // a worker stalled at the merge barrier
@@ -148,13 +149,20 @@ type Recorder struct {
 	byName map[string]*Track
 	order  []*Track
 
-	// open maps a phase name to its start time (obs.PhaseHook state).
-	// Phase brackets are rare (a handful per campaign), so a mutex is
-	// fine here.
-	openMu sync.Mutex
-	open   map[string]time.Duration
+	// mainMu serializes the phase API's MainTrack appends (Phase.End,
+	// AddQuiet): one observer may be shared across goroutines.
+	mainMu   sync.Mutex
+	listener PhaseListener
 
 	started atomic.Bool // first phase span opened (readiness signal)
+}
+
+// PhaseListener is told when each phase bracket opens and closes — the
+// seam the per-phase profiler (internal/prof) plugs into. Implementations
+// must tolerate PhaseEnd calls for phases they never saw start.
+type PhaseListener interface {
+	PhaseStart(name string)
+	PhaseEnd(name string)
 }
 
 // New returns a Recorder whose timeline starts now. The MainTrack is
@@ -164,7 +172,6 @@ func New() *Recorder {
 		t0:       time.Now(),
 		maxSpans: DefaultMaxSpans,
 		byName:   make(map[string]*Track),
-		open:     make(map[string]time.Duration),
 	}
 	r.Track(MainTrack)
 	return r
@@ -298,38 +305,94 @@ func (t *Track) snapshotSpans() []Span {
 	return out
 }
 
-// PhaseStart implements obs.PhaseHook: attach the recorder with
-// Campaign.SetPhaseHook (or obs.PhaseHooks to combine it with the
-// profiler) and every StartPhase/End bracket lands on MainTrack as a
-// CatPhase span.
-func (r *Recorder) PhaseStart(name string) {
+// SetPhaseListener fills the one listener slot (nil empties it). Call
+// it before recording starts: the slot is not synchronized.
+func (r *Recorder) SetPhaseListener(l PhaseListener) {
 	if r == nil {
 		return
 	}
-	r.started.Store(true)
-	now := r.Now()
-	r.openMu.Lock()
-	r.open[name] = now
-	r.openMu.Unlock()
+	r.listener = l
 }
 
-// PhaseEnd implements obs.PhaseHook. Ends without a matching start are
-// ignored (the hook contract).
-func (r *Recorder) PhaseEnd(name string) {
+// Phase is an open phase bracket returned by StartPhase; End closes it.
+// The zero Phase (from a nil Recorder) is inert.
+type Phase struct {
+	r     *Recorder
+	name  string
+	start time.Duration
+}
+
+// StartPhase opens a named phase bracket: it latches Started (the
+// readiness signal) and tells the listener, then starts the clock.
+func (r *Recorder) StartPhase(name string) Phase {
+	if r == nil {
+		return Phase{}
+	}
+	r.started.Store(true)
+	if r.listener != nil {
+		r.listener.PhaseStart(name)
+	}
+	return Phase{r: r, name: name, start: r.Now()}
+}
+
+// End closes the bracket as one CatPhase span on MainTrack, tells the
+// listener, and returns the span's length.
+func (p Phase) End() time.Duration {
+	if p.r == nil {
+		return 0
+	}
+	d := p.r.Now() - p.start
+	p.r.addMain(CatPhase, p.name, p.start, d)
+	if p.r.listener != nil {
+		p.r.listener.PhaseEnd(p.name)
+	}
+	return d
+}
+
+// AddQuiet records a quiet accumulation that just ended as a CatQuiet
+// span of length d on MainTrack: no listener call, and Analyze skips it.
+func (r *Recorder) AddQuiet(name string, d time.Duration) {
 	if r == nil {
 		return
 	}
-	now := r.Now()
-	r.openMu.Lock()
-	start, ok := r.open[name]
-	if ok {
-		delete(r.open, name)
+	r.addMain(CatQuiet, name, r.Now()-d, d)
+}
+
+func (r *Recorder) addMain(cat, name string, start, d time.Duration) {
+	r.mainMu.Lock()
+	r.Track(MainTrack).Add(cat, name, start, d)
+	r.mainMu.Unlock()
+}
+
+// Total is the summed length of one span name.
+type Total struct {
+	Name  string        `json:"name"`
+	Count int           `json:"count"`
+	Total time.Duration `json:"total"`
+}
+
+// Totals sums the MainTrack phase, quiet and fsim-run spans by name, in
+// first-seen order — from the same spans a trace export writes.
+func (r *Recorder) Totals() []Total {
+	if r == nil {
+		return nil
 	}
-	r.openMu.Unlock()
-	if !ok {
-		return
+	var out []Total
+	at := make(map[string]int)
+	for _, sp := range r.Track(MainTrack).snapshotSpans() {
+		if sp.Cat != CatPhase && sp.Cat != CatQuiet && sp.Cat != CatRun {
+			continue
+		}
+		i, ok := at[sp.Name]
+		if !ok {
+			i = len(out)
+			at[sp.Name] = i
+			out = append(out, Total{Name: sp.Name})
+		}
+		out[i].Count++
+		out[i].Total += sp.Dur
 	}
-	r.Track(MainTrack).Add(CatPhase, name, start, now-start)
+	return out
 }
 
 // tracks snapshots the track list.

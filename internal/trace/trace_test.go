@@ -18,8 +18,14 @@ func TestNilRecorderIsInert(t *testing.T) {
 		t.Error("nil Recorder time methods not zero")
 	}
 	r.SetMaxSpans(10)
-	r.PhaseStart("x")
-	r.PhaseEnd("x")
+	r.SetPhaseListener(nil)
+	if d := r.StartPhase("x").End(); d != 0 {
+		t.Errorf("nil Recorder phase lasted %v", d)
+	}
+	r.AddQuiet("x", 1)
+	if r.Totals() != nil {
+		t.Error("nil Recorder has totals")
+	}
 	tr := r.Track("anything")
 	if tr != nil {
 		t.Fatal("nil Recorder returned a live track")
@@ -131,21 +137,83 @@ func TestParseHostileInput(t *testing.T) {
 	}
 }
 
-func TestPhaseHook(t *testing.T) {
+// listener records the brackets a PhaseListener is told about.
+type listener struct{ calls []string }
+
+func (l *listener) PhaseStart(name string) { l.calls = append(l.calls, "start:"+name) }
+func (l *listener) PhaseEnd(name string)   { l.calls = append(l.calls, "end:"+name) }
+
+func TestPhaseBracket(t *testing.T) {
 	r := New()
+	l := &listener{}
+	r.SetPhaseListener(l)
 	if r.Started() {
 		t.Error("fresh recorder claims started")
 	}
-	r.PhaseStart("ts0_gen")
+	p := r.StartPhase("ts0_gen")
 	if !r.Started() {
-		t.Error("Started not set by first PhaseStart")
+		t.Error("Started not set by the first StartPhase")
 	}
-	r.PhaseEnd("ts0_gen")
-	r.PhaseEnd("never_started") // hook contract: ignored
-	m := r.Model()
-	mt := m.Track(MainTrack)
-	if len(mt.Spans) != 1 || mt.Spans[0].Name != "ts0_gen" || mt.Spans[0].Cat != CatPhase {
-		t.Fatalf("phase bracket did not become one span: %+v", mt.Spans)
+	if d := p.End(); d < 0 {
+		t.Errorf("phase length %v", d)
+	}
+	r.AddQuiet("procedure1", time.Microsecond) // the quiet path never reaches the listener
+	if want := []string{"start:ts0_gen", "end:ts0_gen"}; strings.Join(l.calls, " ") != strings.Join(want, " ") {
+		t.Errorf("listener calls = %v, want %v", l.calls, want)
+	}
+	mt := r.Model().Track(MainTrack)
+	if len(mt.Spans) != 2 || mt.Spans[0].Name != "ts0_gen" || mt.Spans[0].Cat != CatPhase ||
+		mt.Spans[1].Name != "procedure1" || mt.Spans[1].Cat != CatQuiet || mt.Spans[1].Dur != time.Microsecond {
+		t.Fatalf("bracket and quiet span not recorded on MainTrack: %+v", mt.Spans)
+	}
+}
+
+// TestPhaseAPIConcurrentUse: brackets and quiet spans from several
+// goroutines share MainTrack without breaking its one-writer rule.
+func TestPhaseAPIConcurrentUse(t *testing.T) {
+	r := New()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				r.StartPhase("p").End()
+				r.AddQuiet("q", time.Microsecond)
+			}
+		}()
+	}
+	wg.Wait()
+	got := r.Totals()
+	if len(got) != 2 || got[0].Count+got[1].Count != 3200 || got[0].Count != 1600 {
+		t.Errorf("Totals = %+v, want 1600 of each", got)
+	}
+}
+
+func TestTotals(t *testing.T) {
+	r := New()
+	main := r.Track(MainTrack)
+	main.Add(CatPhase, "ts0_gen", 0, dur(1))
+	main.Add(CatRun, SpanRun, dur(1), dur(2))
+	main.Add(CatMerge, SpanMerge, dur(2), dur(0.5)) // not a timing row
+	main.Add(CatPhase, "ts0_sim", dur(1), dur(3))
+	main.Add(CatQuiet, "fault_sim", dur(4), dur(2))
+	main.Add(CatRun, SpanRun, dur(4), dur(1))
+	r.Track(WorkerTrackPrefix+"0").Add(CatBatch, SpanBatch, dur(1), dur(1)) // other tracks never count
+	want := []Total{
+		{Name: "ts0_gen", Count: 1, Total: dur(1)},
+		{Name: SpanRun, Count: 2, Total: dur(3)},
+		{Name: "ts0_sim", Count: 1, Total: dur(3)},
+		{Name: "fault_sim", Count: 1, Total: dur(2)},
+	}
+	got := r.Totals()
+	if len(got) != len(want) {
+		t.Fatalf("Totals = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("Totals[%d] = %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }
 
@@ -351,6 +419,9 @@ func TestCriticalPathNesting(t *testing.T) {
 		{Name: "a", Start: dur(1), Dur: dur(3)},
 		{Name: "b", Start: dur(2), Dur: dur(1)},
 		{Name: "c", Start: dur(5), Dur: dur(2)},
+		// A quiet span re-times work already covered; it takes no
+		// exclusive time from the span it overlaps.
+		{Name: "q", Cat: CatQuiet, Start: dur(5), Dur: dur(2)},
 	}}
 	got := map[string]float64{}
 	for _, p := range criticalPath(m) {
@@ -360,6 +431,9 @@ func TestCriticalPathNesting(t *testing.T) {
 	approx(t, "a excl", got["a"], 0.002)
 	approx(t, "b excl", got["b"], 0.001)
 	approx(t, "c excl", got["c"], 0.002)
+	if _, ok := got["q"]; ok {
+		t.Error("quiet span on the critical path")
+	}
 }
 
 func TestWriteReportMentionsTheNumbers(t *testing.T) {

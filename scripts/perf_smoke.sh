@@ -4,7 +4,8 @@
 #
 # It runs a tiny s298 campaign twice with the full stack on (profiling,
 # runtime sampling, ledger append), then requires:
-#   1. per-phase pprof files that `go tool pprof` can read,
+#   1. per-phase pprof files that `go tool pprof` can read, exactly one
+#      cpu/heap/allocs triple per phase bracket,
 #   2. two ledger records that `perf list` and `perf diff` can compare,
 #   3. `perf check` passing against the committed baseline
 #      (scripts/perf_baseline.json — tolerances are deliberately
@@ -41,7 +42,13 @@ for p in ts0_gen ts0_sim classify search; do
     [ -s "$f" ] || die "missing profile $f"
     $GO tool pprof -top "$f" >/dev/null 2>&1 || die "go tool pprof cannot read $f"
 done
-say "per-phase profiles load in go tool pprof"
+got=$(cd "$dir/prof" && LC_ALL=C ls | tr '\n' ' ')
+want=""
+for p in classify search ts0_gen ts0_sim; do
+    want="$want$p.allocs.pprof $p.cpu.pprof $p.heap.pprof "
+done
+[ "$got" = "$want" ] || die "profile files changed: got $got, want $want"
+say "per-phase profiles load in go tool pprof; file set unchanged"
 
 # 2. Two records, listable and diffable.
 n=$(wc -l < "$ledger")
