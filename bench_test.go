@@ -135,9 +135,8 @@ func benchPacking(b *testing.B, per int) {
 }
 
 // BenchmarkFsimWorkers sweeps the sharded simulator's worker count over
-// one mid-size session — the serial-vs-parallel regression pair backing
-// make bench (the JSON scaling report over the largest circuit comes
-// from cmd/benchfsim).
+// one mid-size session — the serial-vs-parallel regression pair (the
+// kernel pair `make benchgate` gates lives in internal/fsim).
 func BenchmarkFsimWorkers1(b *testing.B) { benchWorkers(b, 1) }
 
 // BenchmarkFsimWorkers2 is the two-worker point of the scaling sweep.
@@ -214,6 +213,21 @@ func benchDropping(b *testing.B, drop bool) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkCoverageCurve measures a session fault-simulated one test at a
+// time, the way CoverageCurve and TopOff call the simulator: every call
+// is a one-test session, which Run keeps on the fault-parallel kernel.
+func BenchmarkCoverageCurve(b *testing.B) {
+	c, tests := sessionFor(b, "s1196", 128, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := core.NewRunner(c)
+		if _, err := r.CoverageCurve(tests, r.NewFaultSet()); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -1,11 +1,12 @@
 // Command faultsim is a standalone stuck-at fault simulator for scan
 // tests: it generates (or is told) a random test session and reports
-// fault coverage, optionally listing undetected faults.
+// fault coverage, optionally listing undetected faults. No flag picks
+// the simulation kernel: the simulator chooses it per session, and the
+// report is the same either way.
 //
 // Usage:
 //
 //	faultsim -circuit s298 -n 32 -len 16 [-seed 1] [-undetected] [-classify]
-//	faultsim -circuit s1423 -mode pattern-parallel        # pack patterns, not faults (same report)
 //	faultsim -circuit s1423 -progress -metrics out.json
 //	faultsim -circuit s1423 -debug-addr :6060             # /metrics + pprof while running
 //	faultsim -circuit s1423 -profile-dir prof             # session CPU/heap/alloc profiles
@@ -76,7 +77,6 @@ func main() {
 		classify   = flag.Bool("classify", false, "ATPG-classify undetected faults")
 		estimate   = flag.Bool("estimate", false, "print STAFAN detection-probability estimates for undetected faults")
 		trans      = flag.Bool("trans", false, "simulate the transition (gross-delay) fault universe instead of stuck-at")
-		mode       = flag.String("mode", "fault-parallel", "fault-simulation lane packing: fault-parallel or pattern-parallel (results are identical; pattern-parallel is stuck-at only)")
 		progress   = flag.Bool("progress", false, "stream per-batch progress to stderr")
 		workers    = flag.Int("workers", 0, "fault-simulation worker goroutines (0 = GOMAXPROCS; results are identical at any count)")
 
@@ -109,15 +109,6 @@ func main() {
 	}
 	if *workers < 0 {
 		fmt.Fprintf(os.Stderr, "faultsim: -workers must be >= 0 (got %d; zero means GOMAXPROCS)\n", *workers)
-		os.Exit(errs.ExitUsage)
-	}
-	simMode, merr := fsim.ParseMode(*mode)
-	if merr != nil {
-		fmt.Fprintf(os.Stderr, "faultsim: %v\n", merr)
-		os.Exit(errs.ExitUsage)
-	}
-	if *trans && simMode != fsim.FaultParallel {
-		fmt.Fprintln(os.Stderr, "faultsim: -trans requires fault-parallel mode (pattern-parallel packs stuck-at faults only)")
 		os.Exit(errs.ExitUsage)
 	}
 	c, err := bmark.Load(*name)
@@ -166,7 +157,7 @@ func main() {
 	defer stopSignals()
 
 	start := time.Now()
-	opts := fsim.Options{Obs: o, EmitBatchEvents: *progress, Workers: *workers, Mode: simMode, Trace: o.Trace()}
+	opts := fsim.Options{Obs: o, EmitBatchEvents: *progress, Workers: *workers, Trace: o.Trace()}
 	var st fsim.RunStats
 	// One "session" span brackets the whole simulation: it is what gives
 	// -profile-dir a capture window (fsim.Run itself records only a run

@@ -38,7 +38,6 @@ import (
 	"limscan/internal/cliobs"
 	"limscan/internal/core"
 	"limscan/internal/errs"
-	"limscan/internal/fsim"
 	"limscan/internal/ledger"
 	"limscan/internal/obs"
 	"limscan/internal/report"
@@ -74,7 +73,6 @@ func main() {
 		verbose = flag.Bool("v", false, "stream per-pair progress and print the phase-span summary")
 		export  = flag.String("export", "", "write the selected test program (TS0 + all selected TS(I,D1)) to this file")
 		workers = flag.Int("workers", 0, "fault-simulation worker goroutines (0 = GOMAXPROCS; results are identical at any count)")
-		mode    = flag.String("mode", "fault-parallel", "fault-simulation lane packing: fault-parallel or pattern-parallel (results are identical)")
 
 		ckPath  = flag.String("checkpoint", "", "write campaign snapshots to this file (atomic rewrite; SIGINT/SIGTERM flush the last boundary)")
 		ckEvery = flag.Int("checkpoint-every", 1, "iterations between snapshots (the TS0 and final boundaries are always written)")
@@ -120,11 +118,6 @@ func main() {
 	case *workers < 0:
 		failUsage(fmt.Errorf("-workers must be >= 0 (got %d; zero means GOMAXPROCS)", *workers))
 	}
-	simMode, err := fsim.ParseMode(*mode)
-	if err != nil {
-		failUsage(err)
-	}
-
 	c := loadCircuit(*name, *path)
 	var d1 []int
 	if *desc {
@@ -156,13 +149,12 @@ func main() {
 	r := core.NewRunner(c)
 	r.SetObserver(o)
 	r.SetWorkers(*workers)
-	r.SetMode(simMode)
 	start := time.Now()
 
 	var res *core.Result
 	if *auto {
 		out, err := r.FirstComplete(core.CampaignOptions{
-			Base:      core.Config{Seed: *seed, D1Order: d1, Workers: *workers, Mode: simMode},
+			Base:      core.Config{Seed: *seed, D1Order: d1, Workers: *workers},
 			MaxCombos: *combos,
 		})
 		if err != nil {
@@ -174,7 +166,7 @@ func main() {
 		}
 		fmt.Printf("searched %d combinations\n", out.Tried)
 	} else {
-		cfg := core.Config{LA: *la, LB: *lb, N: *n, Seed: *seed, D1Order: d1, Workers: *workers, Mode: simMode}
+		cfg := core.Config{LA: *la, LB: *lb, N: *n, Seed: *seed, D1Order: d1, Workers: *workers}
 		var ck *core.CheckpointOptions
 		if *ckPath != "" {
 			ck = &core.CheckpointOptions{Path: *ckPath, Every: *ckEvery}

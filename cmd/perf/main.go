@@ -79,7 +79,7 @@ func usage() {
 func commonFlags(cmd string) (*flag.FlagSet, *string, *string, *string) {
 	fs := flag.NewFlagSet("perf "+cmd, flag.ExitOnError)
 	led := fs.String("ledger", "PERF_ledger.jsonl", "performance ledger to read")
-	kind := fs.String("kind", "", "filter records by kind (campaign, faultsim, benchfsim)")
+	kind := fs.String("kind", "", "filter records by kind (campaign, faultsim, service, worker)")
 	circuit := fs.String("circuit", "", "filter records by circuit")
 	return fs, led, kind, circuit
 }
@@ -183,7 +183,7 @@ func cmdCheck(args []string) {
 	}
 	// The baseline's own kind/circuit scope applies unless the flags
 	// narrow further: a baseline for campaign/s298 never silently gates a
-	// benchfsim sweep.
+	// faultsim session.
 	if *kind == "" {
 		*kind = base.Kind
 	}

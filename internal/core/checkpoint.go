@@ -44,11 +44,10 @@ type InterruptedError = checkpoint.InterruptedError
 
 // CheckpointMeta returns the identity block a Procedure 2 snapshot for
 // this runner and configuration carries: the structural circuit hash,
-// the scan plan length, and every result-affecting parameter. Workers,
-// Observer and Mode are deliberately excluded — they change how fast a
-// campaign runs, never what it computes (the two fault-simulation modes
-// are byte-identical), so a checkpoint taken under one may be resumed
-// under another.
+// the scan plan length, and every result-affecting parameter. Workers
+// and Observer are deliberately excluded — they change how fast a
+// campaign runs, never what it computes, so a checkpoint taken under one
+// may be resumed under another.
 func (r *Runner) CheckpointMeta(cfg Config) checkpoint.Meta {
 	return metaFor(r.c, r.plan.Len(), cfg)
 }

@@ -2,14 +2,15 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 
 	"limscan/internal/bmark"
 	"limscan/internal/checkpoint"
 	"limscan/internal/circuit"
-	"limscan/internal/fsim"
 	"limscan/internal/obs"
 )
 
@@ -220,92 +221,54 @@ func TestResumeMetaMismatch(t *testing.T) {
 		}
 	}
 
-	// Observer, Workers and Mode are execution knobs, not identity:
-	// changing them must NOT invalidate the snapshot.
+	// Observer and Workers are execution knobs, not identity: changing
+	// them must NOT invalidate the snapshot.
 	ok := cfg
 	ok.Workers = 2
 	ok.Observer = obs.New(nil, nil)
-	ok.Mode = fsim.PatternParallel
 	if _, err := NewRunner(c).ResumeWithContext(context.Background(), ok, snap, nil); err != nil {
-		t.Errorf("snapshot rejected for changed Workers/Observer/Mode: %v", err)
+		t.Errorf("snapshot rejected for changed Workers/Observer: %v", err)
 	}
 }
 
-// TestCampaignModeInvariant is the campaign-level mode differential: a
-// full Procedure 2 run under the pattern-parallel fault simulator must
-// produce the identical Result — every pair, curve point, cycle total
-// and completeness flag — as the fault-parallel default.
+// faultParallelDigests pins each resumeCircuits campaign's Result —
+// scalars, every pair and every curve point — as recorded when every
+// session ran on the fault-parallel kernel. Since fsim picks its kernel
+// per session (pattern-parallel for the scan-free TS0 sessions), the
+// same campaign must still hash to these values.
+var faultParallelDigests = map[string]string{
+	"s27":  "5d9710080b8b8088",
+	"s208": "efbd101dba2d72f4",
+	"s298": "a11ccb10e78e9d8b",
+	"s344": "a42f0a11912a2c14",
+	"s382": "0ad2918de16b9b96",
+	"s510": "c68719e06e91b292",
+}
+
+func resultDigest(r *Result) string {
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v|%+v|%+v", resultKey(r), r.Pairs, r.Curve)))
+	return fmt.Sprintf("%x", sum[:8])
+}
+
+// TestCampaignModeInvariant is the campaign-level kernel differential: a
+// full Procedure 2 run, whose TS0 sessions fsim now simulates
+// pattern-parallel, must produce the Result the all-fault-parallel
+// simulator produced — every pair, curve point, cycle total and
+// completeness flag (pinned in faultParallelDigests).
 func TestCampaignModeInvariant(t *testing.T) {
 	for _, name := range resumeCircuits(t) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			c := loadBmark(t, name)
 			spec, _ := bmark.Info(name)
-			cfg := resumeConfig(spec.Seed)
-			want, err := NewRunner(c).RunProcedure2(cfg)
+			got, err := NewRunner(c).RunProcedure2(resumeConfig(spec.Seed))
 			if err != nil {
 				t.Fatal(err)
 			}
-			pp := cfg
-			pp.Mode = fsim.PatternParallel
-			got, err := NewRunner(c).RunProcedure2(pp)
-			if err != nil {
-				t.Fatal(err)
+			if d := resultDigest(got); d != faultParallelDigests[name] {
+				t.Errorf("result digest %s, want %s (fault-parallel): %+v", d, faultParallelDigests[name], resultKey(got))
 			}
-			// Results carry their Config; neutralize the knob before the
-			// field-by-field comparison.
-			got.Config.Mode = fsim.FaultParallel
-			sameResult(t, "pattern-parallel campaign", got, want)
 		})
-	}
-}
-
-// TestResumeCrossMode: a checkpoint written under one fault-simulation
-// mode resumes under the other (the snapshot carries no mode — it is an
-// execution knob, not identity) and still converges to the
-// uninterrupted result.
-func TestResumeCrossMode(t *testing.T) {
-	c := loadBmark(t, "s298")
-	spec, _ := bmark.Info("s298")
-	cfg := resumeConfig(spec.Seed)
-	want, err := NewRunner(c).RunProcedure2(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dir := range []struct {
-		label       string
-		first, then fsim.Mode
-	}{
-		{"pp-then-fp", fsim.PatternParallel, fsim.FaultParallel},
-		{"fp-then-pp", fsim.FaultParallel, fsim.PatternParallel},
-	} {
-		path := filepath.Join(t.TempDir(), "ck.json")
-		ctx, cancel := context.WithCancel(context.Background())
-		start := cfg
-		start.Mode = dir.first
-		start.Observer = obs.New(nil, sinkFunc(func(e obs.Event) {
-			if e.Kind == obs.KindCheckpoint {
-				cancel()
-			}
-		}))
-		_, err := NewRunner(c).RunWithContext(ctx, start, &CheckpointOptions{Path: path})
-		cancel()
-		var ie *InterruptedError
-		if !errors.As(err, &ie) {
-			t.Fatalf("%s: err = %v, want *InterruptedError", dir.label, err)
-		}
-		snap, err := checkpoint.Load(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rest := cfg
-		rest.Mode = dir.then
-		got, err := NewRunner(c).ResumeWithContext(context.Background(), rest, snap, nil)
-		if err != nil {
-			t.Fatalf("%s: resume: %v", dir.label, err)
-		}
-		got.Config.Mode = fsim.FaultParallel
-		sameResult(t, dir.label, got, want)
 	}
 }
 

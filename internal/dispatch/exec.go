@@ -76,13 +76,11 @@ func (e *CampaignExec) RunSession(req core.SessionRequest) (fsim.RunStats, error
 	if tr != nil {
 		tr.Track(trace.MainTrack).Add(trace.CatRun, trace.SpanRun, runStart, tr.Now()-runStart,
 			trace.KV{K: "units", V: int64(len(units))},
-			trace.KV{K: "batches", V: int64(stats.Batches)},
-			trace.KV{K: "mode", V: int64(req.Options.Mode)})
+			trace.KV{K: "batches", V: int64(stats.Batches)})
 	}
 	fleetMain.Track(trace.MainTrack).Add(trace.CatRun, trace.SpanRun, fleetStart, fleetMain.Now()-fleetStart,
 		trace.KV{K: "units", V: int64(len(units))},
-		trace.KV{K: "batches", V: int64(stats.Batches)},
-		trace.KV{K: "mode", V: int64(req.Options.Mode)})
-	fsim.ObserveRun(req.Options.Obs, req.Options.Mode, len(req.Tests), stats)
+		trace.KV{K: "batches", V: int64(stats.Batches)})
+	fsim.ObserveRun(req.Options.Obs, len(req.Tests), stats)
 	return stats, nil
 }

@@ -36,27 +36,15 @@ import (
 // (lane 0 carries the good machine).
 const LanesPerWord = 63
 
-// Options tunes a simulation run.
+// Options tunes a simulation run. Run picks the simulation kernel
+// itself (see chooseKernel); no option selects it.
 type Options struct {
-	// Mode selects the lane packing: FaultParallel (the zero value)
-	// replays the session once per 63-fault batch; PatternParallel packs
-	// up to PatternsPerPass tests per lane word and propagates one fault
-	// at a time as a difference against a shared fault-free trace. Both
-	// modes produce byte-identical RunStats, fault states and site
-	// attribution; PatternParallel additionally requires a full scan
-	// plan, stuck-at faults only, and exact comparison (MISRDegree 0).
-	Mode Mode
-	// PatternsPerPass selects the pattern-parallel lane width: zero
-	// means DefaultPatternsPerPass (64, one machine word); the only
-	// other accepted value is WidePatternsPerPass (256, a [4]uint64
-	// word). Nonzero values are rejected in fault-parallel mode.
-	PatternsPerPass int
 	// FaultsPerPass caps the number of faults packed into one batch.
 	// Zero means LanesPerWord; values above LanesPerWord or below zero
 	// are rejected by Validate. Smaller values are only useful for the
 	// packing-width ablation benchmarks. The batch is also the sharding
-	// and merge unit in pattern-parallel mode, which is why checkpoint
-	// chunk geometry and stats are mode-independent.
+	// and merge unit of the pattern-parallel kernel, which is why
+	// checkpoint chunk geometry and stats are kernel-independent.
 	FaultsPerPass int
 	// Workers is the number of goroutines fault batches are sharded
 	// across. Zero means runtime.GOMAXPROCS(0); one forces the serial
@@ -105,25 +93,16 @@ type Options struct {
 	// run. Leave it off inside campaigns, where runs number in the
 	// hundreds.
 	EmitBatchEvents bool
+
+	// kernel, when not kernelAuto, overrides chooseKernel. Only this
+	// package's differential tests set it.
+	kernel kernel
 }
 
 // Validate rejects impossible option combinations. Run calls it on
 // entry; callers building Options from external input (flags, configs)
 // can call it earlier for a better error site.
 func (o Options) Validate() error {
-	if o.Mode > PatternParallel {
-		return fmt.Errorf("fsim: unknown Mode %d (want %v or %v)", o.Mode, FaultParallel, PatternParallel)
-	}
-	switch o.PatternsPerPass {
-	case 0, DefaultPatternsPerPass, WidePatternsPerPass:
-	default:
-		return fmt.Errorf("fsim: PatternsPerPass must be 0, %d or %d (got %d)",
-			DefaultPatternsPerPass, WidePatternsPerPass, o.PatternsPerPass)
-	}
-	if o.PatternsPerPass != 0 && o.Mode != PatternParallel {
-		return fmt.Errorf("fsim: PatternsPerPass is only meaningful in pattern-parallel mode (got %d with Mode %v)",
-			o.PatternsPerPass, o.Mode)
-	}
 	if o.FaultsPerPass < 0 || o.FaultsPerPass > LanesPerWord {
 		return fmt.Errorf("fsim: FaultsPerPass must be in [0, %d] (got %d; zero means %d)",
 			LanesPerWord, o.FaultsPerPass, LanesPerWord)
@@ -134,18 +113,7 @@ func (o Options) Validate() error {
 	if o.MISRDegree < 0 {
 		return fmt.Errorf("fsim: MISRDegree must be >= 0 (got %d)", o.MISRDegree)
 	}
-	if o.MISRDegree > 0 && o.Mode == PatternParallel {
-		return fmt.Errorf("fsim: MISR compaction requires fault-parallel mode (a signature has no per-pattern XOR mask)")
-	}
 	return nil
-}
-
-// patternsPerPass resolves the effective pattern-parallel lane width.
-func (o Options) patternsPerPass() int {
-	if o.PatternsPerPass == 0 {
-		return DefaultPatternsPerPass
-	}
-	return o.PatternsPerPass
 }
 
 // Detection sites: where an observed value first exposed a fault. These
@@ -297,8 +265,12 @@ func (s *Simulator) Run(tests []scan.Test, fs *fault.Set, opts Options) (stats R
 	}
 	stats = RunStats{Cycles: s.cost.SessionCycles(tests)}
 	rem := fs.Remaining()
-	var eng ppEngine
-	if opts.Mode == PatternParallel {
+	k := opts.kernel
+	if k == kernelAuto {
+		k = s.chooseKernel(tests, fs.Faults, rem, opts)
+	}
+	var eng *ppEngine
+	if k == kernelPattern {
 		var engErr error
 		eng, engErr = s.newPatternEngine(tests, fs.Faults, rem, opts)
 		if engErr != nil {
@@ -316,7 +288,7 @@ func (s *Simulator) Run(tests []scan.Test, fs *fault.Set, opts Options) (stats R
 			return stats, err
 		}
 	} else {
-		var pw ppWorker
+		var pw *ppWorker
 		if eng != nil {
 			pw = eng.newWorker()
 		}
@@ -364,29 +336,80 @@ func (s *Simulator) Run(tests []scan.Test, fs *fault.Set, opts Options) (stats R
 		// A run span, not a phase bracket: Run fires thousands of times
 		// per campaign, so an event and a profile capture per call would
 		// drown the observability it feeds. The campaign-level "search"
-		// phase brackets these from above.
+		// phase brackets these from above. A span keeps two attributes:
+		// the worker count (read by trace.Analyze) and the kernel chosen;
+		// the batch count is the run's batch spans.
 		d := tr.Now() - runStart
 		tr.Track(trace.MainTrack).Add(trace.CatRun, trace.SpanRun, runStart, d,
 			trace.KV{K: "workers", V: int64(w)},
-			trace.KV{K: "batches", V: int64(stats.Batches)},
-			trace.KV{K: "mode", V: int64(opts.Mode)})
+			trace.KV{K: "mode", V: k.code()})
 		opts.Obs.PhaseGauge(trace.SpanRun).Add(d.Seconds())
 	}
-	ObserveRun(opts.Obs, opts.Mode, len(tests), stats)
-	if opts.Mode == PatternParallel {
-		opts.Obs.Gauge("fsim_patterns_per_pass").Set(float64(opts.patternsPerPass()))
-	}
+	opts.Obs.Gauge("fsim_mode").Set(float64(k.code()))
+	ObserveRun(opts.Obs, len(tests), stats)
 	return stats, nil
 }
 
-// ObserveRun records one finished session's fsim_* metrics on o — the
+// kernel names a fault-simulation kernel.
+type kernel uint8
+
+const (
+	kernelAuto    kernel = iota // Options.kernel unset: Run calls chooseKernel
+	kernelFault                 // 63 faults plus the good machine per word (runBatch)
+	kernelPattern               // PPSFP: 64 tests per word, one fault at a time (pattern.go)
+)
+
+// code is the kernel's number on the fsim_mode gauge and the mode
+// attribute of the fsim_run span: 0 fault-parallel, 1 pattern-parallel.
+func (k kernel) code() int64 { return int64(k) - int64(kernelFault) }
+
+// chooseKernel picks the kernel for one session. Pattern-parallel
+// simulation runs exactly when the session has the paper's TS0 shape,
+// the kernel is exact for it and it fills the kernel's lanes: tests and
+// faults remain, a full scan plan, exact comparison (MISRDegree 0), only
+// stuck-at faults remaining, no test with a limited-scan shift, and on
+// average at least minPatternLanes tests per pattern group. Every other
+// session runs fault-parallel. Limited scan is excluded although the
+// pattern kernel simulates it exactly: each distinct shift schedule is
+// its own pattern group with its own fault-free trace, so search
+// sessions fill few lanes and allocate a trace per test (see README,
+// "Kernel selection (PPSFP)").
+func (s *Simulator) chooseKernel(tests []scan.Test, faults []fault.Fault, rem []int, opts Options) kernel {
+	if len(rem) == 0 {
+		return kernelFault
+	}
+	for i := range tests {
+		for u := range tests[i].T {
+			if shiftAt(&tests[i], u) > 0 {
+				return kernelFault
+			}
+		}
+	}
+	if s.patternUnsupported(faults, rem, opts) != nil {
+		return kernelFault
+	}
+	if groups := len(ppGroups(tests, logic.W64Lanes)); groups == 0 || len(tests) < minPatternLanes*groups {
+		return kernelFault
+	}
+	return kernelPattern
+}
+
+// minPatternLanes is the fewest tests per pattern group, on average, for
+// which Run picks the pattern-parallel kernel. Each group costs one
+// fault-free trace and one pass per fault whatever its lane count; on
+// s1196 and s5378 sessions of 1- and 8-frame scan-free tests at one
+// worker the fault-parallel kernel is faster below about 4 lanes and
+// the pattern kernel at least 2x faster from 8. The one-test sessions of
+// CoverageCurve and TopOff therefore stay fault-parallel.
+const minPatternLanes = 8
+
+// ObserveRun records one finished session's fsim_* counters on o — the
 // bookkeeping Run and the distributed session runner share, so their
 // ledger records stay comparable. A nil o records nothing.
-func ObserveRun(o *obs.Campaign, mode Mode, tests int, stats RunStats) {
+func ObserveRun(o *obs.Campaign, tests int, stats RunStats) {
 	if o == nil {
 		return
 	}
-	o.Gauge("fsim_mode").Set(float64(mode))
 	o.Counter("fsim_runs_total").Inc()
 	o.Counter("fsim_tests_total").Add(int64(tests))
 	o.Counter("fsim_batches_total").Add(int64(stats.Batches))
@@ -508,11 +531,11 @@ func (s *Simulator) reset() {
 	s.applyStateStuck()
 }
 
-// simBatch dispatches one batch to the active mode's kernel: the
+// simBatch dispatches one batch to the session's kernel: the
 // pattern-parallel worker when one exists, the fault-parallel session
 // replay otherwise. Both produce the same det/sites contract, so the
-// shared mergeBatch fold keeps the modes byte-identical.
-func (s *Simulator) simBatch(pw ppWorker, tests []scan.Test, faults []fault.Fault, batch []int, opts Options, sites *[numSites]logic.Word) logic.Word {
+// shared mergeBatch fold keeps the kernels byte-identical.
+func (s *Simulator) simBatch(pw *ppWorker, tests []scan.Test, faults []fault.Fault, batch []int, opts Options, sites *[numSites]logic.Word) logic.Word {
 	if pw != nil {
 		return pw.runBatch(faults, batch, opts, sites)
 	}

@@ -31,16 +31,18 @@ func fuzzSpec(seed, shape uint64) (bmark.Spec, bool) {
 // scalar oracle on generated random circuits — different interface
 // shapes, gate mixes and scan-chain lengths, with and without limited
 // scan operations — and simultaneously checks the sharded path against
-// the serial one on the same workload. The sharded run's lane-packing
-// mode is itself fuzz input (bit 17 selects pattern-parallel, bit 18 its
-// wide 256-lane variant), so the mode differential rides the same
-// corpus. This is the repository's main guard against simulator
-// regressions; the checked-in corpus under testdata/fuzz covers the
-// shapes the pre-fuzzing deterministic test used to pin.
+// the serial one on the same workload. The serial reference is forced
+// onto the fault-parallel kernel; the sharded run uses the kernel Run
+// chooses, or the pattern-parallel one when bit 17 of the shape word is
+// set, so the kernel differential rides the same corpus (bit 18, once a
+// lane-width switch, is ignored). This is the repository's main guard
+// against simulator regressions; the checked-in corpus under
+// testdata/fuzz covers the shapes the pre-fuzzing deterministic test
+// used to pin.
 func FuzzDifferential(f *testing.F) {
 	// The former TestFuzzDifferential population, re-encoded: (seed,
 	// shape) pairs spanning small/wide interfaces, deep/shallow clouds,
-	// and both scan modes — plus pattern-parallel and wide-lane shapes.
+	// and both scan modes — plus two forced pattern-parallel shapes.
 	f.Add(uint64(101), uint64(2|1<<3|3<<6|20<<10))
 	f.Add(uint64(202), uint64(5|0<<3|8<<6|46<<10|1<<16))
 	f.Add(uint64(303), uint64(1|4<<3|11<<6|59<<10))
@@ -59,20 +61,17 @@ func FuzzDifferential(f *testing.F) {
 
 		serial := fault.NewSet(reps)
 		s := New(c)
-		sstats, err := s.Run(tests, serial, Options{Workers: 1})
+		sstats, err := s.Run(tests, serial, Options{Workers: 1, kernel: kernelFault})
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		// Sharded run on the same simulator: small batches force real
-		// sharding even on tiny universes, and bits 17/18 of the shape
-		// word swap the kernel under the shards.
+		// sharding even on tiny universes, and bit 17 of the shape word
+		// forces the pattern-parallel kernel under the shards.
 		shardedOpts := Options{Workers: 4, FaultsPerPass: 7}
 		if (shape>>17)&1 == 1 {
-			shardedOpts.Mode = PatternParallel
-			if (shape>>18)&1 == 1 {
-				shardedOpts.PatternsPerPass = WidePatternsPerPass
-			}
+			shardedOpts.kernel = kernelPattern
 		}
 		sharded := fault.NewSet(reps)
 		pstats, err := s.Run(tests, sharded, shardedOpts)
@@ -105,16 +104,18 @@ func FuzzDifferential(f *testing.F) {
 }
 
 // FuzzPPSFP is the dedicated pattern-parallel differential: on generated
-// circuits it compares the pattern-parallel kernel (both lane widths)
-// against the fault-parallel one over a fuzzed session size, so lane
+// circuits it compares the pattern-parallel kernel against the
+// fault-parallel one, both forced, over a fuzzed session size, so lane
 // boundaries (empty, partial, exactly full, multi-group sessions) are
 // explored beyond the fixed counts TestParallelPatternOddCounts pins.
-// The seed corpus brackets the 64-lane word: 1, 63 and 65 tests.
+// The seed corpus brackets the 64-lane word: 1, 63 and 65 tests. The
+// trailing bool once selected a 256-lane width; it keeps its place in
+// the corpus and is ignored.
 func FuzzPPSFP(f *testing.F) {
 	f.Add(uint64(11), uint64(3|2<<3|7<<6|30<<10|1<<16), uint(1), false)
 	f.Add(uint64(22), uint64(5|1<<3|4<<6|22<<10), uint(63), false)
 	f.Add(uint64(33), uint64(2|3<<3|9<<6|50<<10|1<<16), uint(65), true)
-	f.Fuzz(func(t *testing.T, seed, shape uint64, n uint, wide bool) {
+	f.Fuzz(func(t *testing.T, seed, shape uint64, n uint, _ bool) {
 		spec, withScans := fuzzSpec(seed, shape)
 		c, err := bmark.Generate(spec)
 		if err != nil {
@@ -127,17 +128,13 @@ func FuzzPPSFP(f *testing.F) {
 
 		base := fault.NewSet(reps)
 		s := New(c)
-		bstats, err := s.Run(tests, base, Options{Workers: 1})
+		bstats, err := s.Run(tests, base, Options{Workers: 1, kernel: kernelFault})
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		o := Options{Mode: PatternParallel, Workers: 1}
-		if wide {
-			o.PatternsPerPass = WidePatternsPerPass
-		}
 		pp := fault.NewSet(reps)
-		pstats, err := s.Run(tests, pp, o)
+		pstats, err := s.Run(tests, pp, Options{Workers: 1, kernel: kernelPattern})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,8 +143,8 @@ func FuzzPPSFP(f *testing.F) {
 		}
 		for i, fa := range reps {
 			if base.State[i] != pp.State[i] {
-				t.Errorf("n=%d wide=%v fault %s: fault-parallel=%v pattern-parallel=%v",
-					int(n%131), wide, fa.Pretty(c), base.State[i], pp.State[i])
+				t.Errorf("n=%d fault %s: fault-parallel=%v pattern-parallel=%v",
+					int(n%131), fa.Pretty(c), base.State[i], pp.State[i])
 			}
 		}
 	})

@@ -79,7 +79,7 @@ func (s *Simulator) worker(i int) *Simulator {
 // and stats. Callers guarantee workers >= 2 and tests pre-validated. A
 // canceled Options.Ctx stops the workers at the next batch claim and
 // returns the context error without merging anything into fs.
-func (s *Simulator) runSharded(tests []scan.Test, fs *fault.Set, rem []int, per, workers int, eng ppEngine, opts Options, stats *RunStats) error {
+func (s *Simulator) runSharded(tests []scan.Test, fs *fault.Set, rem []int, per, workers int, eng *ppEngine, opts Options, stats *RunStats) error {
 	nb := (len(rem) + per - 1) / per
 	out := make([]batchOut, nb)
 	attrib := opts.Obs != nil && opts.MISRDegree == 0
@@ -125,7 +125,7 @@ func (s *Simulator) runSharded(tests []scan.Test, fs *fault.Set, rem []int, per,
 			if tr != nil {
 				wt = tr.Track(trace.WorkerTrackPrefix + strconv.Itoa(w))
 			}
-			var pw ppWorker
+			var pw *ppWorker
 			if eng != nil {
 				pw = eng.newWorker()
 			}

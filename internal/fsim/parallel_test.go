@@ -245,9 +245,6 @@ func TestOptionsValidate(t *testing.T) {
 		{Workers: 1},
 		{Workers: 64},
 		{MISRDegree: 16},
-		{Mode: PatternParallel},
-		{Mode: PatternParallel, PatternsPerPass: DefaultPatternsPerPass},
-		{Mode: PatternParallel, PatternsPerPass: WidePatternsPerPass},
 	}
 	for _, o := range valid {
 		if err := o.Validate(); err != nil {

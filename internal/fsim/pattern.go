@@ -15,7 +15,7 @@ import (
 // machine into one word and replays the whole session once per batch, so
 // every batch pays for every test's scan shifts and full-circuit
 // evaluations. The pattern-parallel kernel inverts the packing: up to
-// PatternsPerPass tests live one-per-lane in a logic.Lanes word, the
+// 64 tests live one-per-lane in a logic.W64 word, the
 // fault-free session is simulated once and its complete value trace
 // recorded, and each fault is then propagated as a *difference* against
 // that trace — an event-driven pass that touches only the gates whose
@@ -51,16 +51,7 @@ import (
 // and limited-scan schedule); each group gets one fault-free trace.
 // Batch geometry, merge order and early-exit verdicts are untouched, so
 // stats, fault states, reports and checkpoints are byte-identical to
-// fault-parallel mode at any worker count.
-
-const (
-	// DefaultPatternsPerPass is the pattern-parallel lane width when
-	// Options.PatternsPerPass is zero: one test per bit of a machine word.
-	DefaultPatternsPerPass = logic.W64Lanes
-	// WidePatternsPerPass is the wide-batch lane width: a [4]uint64 word,
-	// 256 tests per pass.
-	WidePatternsPerPass = logic.W256Lanes
-)
+// the fault-parallel kernel at any worker count.
 
 // ppTraceBudget caps the bytes of fault-free trace prebuilt and shared
 // across workers. Sessions whose traces would exceed it fall back to a
@@ -68,50 +59,38 @@ const (
 // bounded memory.
 const ppTraceBudget = 256 << 20
 
-// ppEngine and ppWorker form the type-erased seam between the mode
-// dispatch in Run/runSharded and the width-generic kernel: the engine
-// holds the shared read-only session state (groups, traces, netlist
-// tables), newWorker hands each goroutine its private scratch.
-type ppEngine interface {
-	newWorker() ppWorker
-}
-
-type ppWorker interface {
-	runBatch(faults []fault.Fault, batch []int, opts Options, sites *[numSites]logic.Word) logic.Word
-}
-
-// newPatternEngine validates the session for pattern-parallel simulation
-// and builds the engine for the selected lane width. rem indexes the
-// faults that will actually be simulated.
-func (s *Simulator) newPatternEngine(tests []scan.Test, faults []fault.Fault, rem []int, opts Options) (ppEngine, error) {
+// patternUnsupported reports why the pattern-parallel kernel cannot
+// simulate a session exactly, or nil if it can. rem indexes the faults
+// that will actually be simulated.
+func (s *Simulator) patternUnsupported(faults []fault.Fault, rem []int, opts Options) error {
 	if !s.plan.IsFull() {
-		return nil, fmt.Errorf("fsim: pattern-parallel mode requires a full scan plan (%d of %d flip-flops scanned); use fault-parallel mode for partial scan",
+		return fmt.Errorf("fsim: the pattern-parallel kernel requires a full scan plan (%d of %d flip-flops scanned)",
 			s.plan.Len(), s.plan.Total)
+	}
+	if opts.MISRDegree > 0 {
+		return fmt.Errorf("fsim: the pattern-parallel kernel compares exactly (a MISR signature has no per-pattern XOR mask)")
 	}
 	for _, fi := range rem {
 		if faults[fi].Model != fault.StuckAt {
-			return nil, fmt.Errorf("fsim: pattern-parallel mode simulates stuck-at faults only (fault %v is %v); use fault-parallel mode for transition faults",
+			return fmt.Errorf("fsim: the pattern-parallel kernel simulates stuck-at faults only (fault %v is %v)",
 				faults[fi], faults[fi].Model)
 		}
 	}
-	sh := newPPShared(s, tests)
-	per := opts.PatternsPerPass
-	if per == 0 {
-		per = DefaultPatternsPerPass
-	}
-	switch per {
-	case DefaultPatternsPerPass:
-		return newPPEngine[logic.W64](sh), nil
-	case WidePatternsPerPass:
-		return newPPEngine[logic.W256](sh), nil
-	}
-	// Unreachable: Options.Validate already rejected other widths.
-	return nil, fmt.Errorf("fsim: unsupported PatternsPerPass %d", per)
+	return nil
 }
 
-// ppShared is the width-independent session state: netlist tables and the
-// pattern grouping.
-type ppShared struct {
+// newPatternEngine builds the pattern-parallel engine for a session,
+// refusing sessions the kernel cannot simulate exactly.
+func (s *Simulator) newPatternEngine(tests []scan.Test, faults []fault.Fault, rem []int, opts Options) (*ppEngine, error) {
+	if err := s.patternUnsupported(faults, rem, opts); err != nil {
+		return nil, err
+	}
+	return newPPEngine(s, tests), nil
+}
+
+// ppEngine is the session state shared read-only by every worker:
+// netlist tables, the pattern grouping and the fault-free traces.
+type ppEngine struct {
 	c     *circuit.Circuit
 	tests []scan.Test
 	m     int // chain length (== N_SV under a full plan)
@@ -124,6 +103,7 @@ type ppShared struct {
 	isPO    []bool    // gate ID -> is a primary output
 
 	groups []ppGroup
+	traces []*ppTrace // prebuilt per group; nil when over ppTraceBudget
 }
 
 // ppGroup is a maximal run of consecutive same-shape tests, capped at the
@@ -134,10 +114,10 @@ type ppGroup struct {
 	shift  []int // effective limited-scan schedule (nil: none)
 }
 
-func newPPShared(s *Simulator, tests []scan.Test) *ppShared {
+func newPPEngine(s *Simulator, tests []scan.Test) *ppEngine {
 	c := s.c
 	m := s.plan.Len()
-	sh := &ppShared{
+	e := &ppEngine{
 		c:       c,
 		tests:   tests,
 		m:       m,
@@ -148,21 +128,43 @@ func newPPShared(s *Simulator, tests []scan.Test) *ppShared {
 		sinks:   make([][]int32, c.NumGates()),
 		isPO:    make([]bool, c.NumGates()),
 	}
-	for i := range sh.posOf {
-		sh.posOf[i] = -1
+	for i := range e.posOf {
+		e.posOf[i] = -1
 	}
 	for p, statePos := range s.plan.Chain {
 		id := c.DFFs[statePos]
 		src := c.Gates[id].Fanin[0]
-		sh.dffNode[p] = int32(id)
-		sh.dsrc[p] = int32(src)
-		sh.posOf[id] = int32(p)
-		sh.sinks[src] = append(sh.sinks[src], int32(p))
+		e.dffNode[p] = int32(id)
+		e.dsrc[p] = int32(src)
+		e.posOf[id] = int32(p)
+		e.sinks[src] = append(e.sinks[src], int32(p))
 	}
 	for _, id := range c.Outputs {
-		sh.isPO[id] = true
+		e.isPO[id] = true
 	}
-	return sh
+	e.groups = ppGroups(tests, logic.W64Lanes)
+
+	// Prebuild the traces once, shared read-only across workers, unless
+	// the session is too large to hold them all — then each worker
+	// rebuilds one group's trace at a time.
+	var words int64
+	for _, g := range e.groups {
+		words += int64(g.frames) * int64(e.c.NumGates())
+		words += int64(g.frames+1) * int64(e.m)
+		for u := 0; u < g.frames; u++ {
+			if g.shift != nil {
+				words += int64(g.shift[u])
+			}
+		}
+	}
+	if words*(logic.W64Lanes/8) <= ppTraceBudget {
+		val := make([]logic.W64, e.c.NumGates())
+		e.traces = make([]*ppTrace, len(e.groups))
+		for i, g := range e.groups {
+			e.traces[i] = e.buildTrace(g, val)
+		}
+	}
+	return e
 }
 
 // shiftAt is a test's effective limited-scan schedule (nil Shift means no
@@ -209,69 +211,33 @@ func ppGroups(tests []scan.Test, lanes int) []ppGroup {
 
 // ppTrace is one group's fault-free trace: everything the event-driven
 // fault pass needs to read good values without re-simulating.
-type ppTrace[W logic.Lanes[W]] struct {
+type ppTrace struct {
 	// frameVals[u][id] is every signal's value during frame u (flip-flop
 	// entries hold the post-shift state the frame evaluated from).
-	frameVals [][]W
+	frameVals [][]logic.W64
 	// statePost[0] is the packed scan-in state; statePost[u+1] the state
 	// after frame u's capture (so statePost[u] is the state entering
 	// frame u's limited scan).
-	statePost [][]W
+	statePost [][]logic.W64
 	// fill[u] holds frame u's packed limited-scan fill bits.
-	fill [][]W
-}
-
-// ppEngineT is the width-generic engine.
-type ppEngineT[W logic.Lanes[W]] struct {
-	*ppShared
-	lanes  int
-	traces []*ppTrace[W] // prebuilt per group; nil when over ppTraceBudget
-}
-
-func newPPEngine[W logic.Lanes[W]](sh *ppShared) *ppEngineT[W] {
-	var zero W
-	e := &ppEngineT[W]{ppShared: sh, lanes: zero.Size()}
-	e.groups = ppGroups(sh.tests, e.lanes)
-
-	// Prebuild the traces once, shared read-only across workers, unless
-	// the session is too large to hold them all — then each worker
-	// rebuilds one group's trace at a time.
-	laneBytes := e.lanes / 8
-	var words int64
-	for _, g := range e.groups {
-		words += int64(g.frames) * int64(sh.c.NumGates())
-		words += int64(g.frames+1) * int64(sh.m)
-		for u := 0; u < g.frames; u++ {
-			if g.shift != nil {
-				words += int64(g.shift[u])
-			}
-		}
-	}
-	if words*int64(laneBytes) <= ppTraceBudget {
-		val := make([]W, sh.c.NumGates())
-		e.traces = make([]*ppTrace[W], len(e.groups))
-		for i, g := range e.groups {
-			e.traces[i] = e.buildTrace(g, val)
-		}
-	}
-	return e
+	fill [][]logic.W64
 }
 
 // buildTrace simulates one group's fault-free session, packing test lo+l
 // into lane l. val is gate-count scratch.
-func (e *ppEngineT[W]) buildTrace(g ppGroup, val []W) *ppTrace[W] {
+func (e *ppEngine) buildTrace(g ppGroup, val []logic.W64) *ppTrace {
 	c := e.c
 	m := e.m
 	nl := g.hi - g.lo
-	tr := &ppTrace[W]{
-		frameVals: make([][]W, g.frames),
-		statePost: make([][]W, g.frames+1),
-		fill:      make([][]W, g.frames),
+	tr := &ppTrace{
+		frameVals: make([][]logic.W64, g.frames),
+		statePost: make([][]logic.W64, g.frames+1),
+		fill:      make([][]logic.W64, g.frames),
 	}
 	// Complete scan-in, analytically: the state is exactly the packed SI.
-	state := make([]W, m)
+	state := make([]logic.W64, m)
 	for p := 0; p < m; p++ {
-		var pw W
+		var pw logic.W64
 		for l := 0; l < nl; l++ {
 			if e.tests[g.lo+l].SI.Get(p) != 0 {
 				pw = pw.WithLane(l)
@@ -279,12 +245,12 @@ func (e *ppEngineT[W]) buildTrace(g ppGroup, val []W) *ppTrace[W] {
 		}
 		state[p] = pw
 	}
-	tr.statePost[0] = append([]W(nil), state...)
+	tr.statePost[0] = append([]logic.W64(nil), state...)
 	for u := 0; u < g.frames; u++ {
 		if S := groupShift(g, u); S > 0 {
-			fw := make([]W, S)
+			fw := make([]logic.W64, S)
 			for j := 0; j < S; j++ {
-				var pw W
+				var pw logic.W64
 				for l := 0; l < nl; l++ {
 					if e.tests[g.lo+l].Fill[u][j] != 0 {
 						pw = pw.WithLane(l)
@@ -303,7 +269,7 @@ func (e *ppEngineT[W]) buildTrace(g ppGroup, val []W) *ppTrace[W] {
 			}
 		}
 		for i, id := range c.Inputs {
-			var pw W
+			var pw logic.W64
 			for l := 0; l < nl; l++ {
 				if e.tests[g.lo+l].T[u].Get(i) != 0 {
 					pw = pw.WithLane(l)
@@ -315,11 +281,11 @@ func (e *ppEngineT[W]) buildTrace(g ppGroup, val []W) *ppTrace[W] {
 			val[e.dffNode[p]] = state[p]
 		}
 		e.evalGood(val)
-		tr.frameVals[u] = append([]W(nil), val...)
+		tr.frameVals[u] = append([]logic.W64(nil), val...)
 		for p := 0; p < m; p++ {
 			state[p] = val[e.dsrc[p]]
 		}
-		tr.statePost[u+1] = append([]W(nil), state...)
+		tr.statePost[u+1] = append([]logic.W64(nil), state...)
 	}
 	return tr
 }
@@ -331,40 +297,39 @@ func groupShift(g ppGroup, u int) int {
 	return g.shift[u]
 }
 
-// evalGood evaluates the combinational core fault-free over W lanes (the
-// generic twin of sim.Evaluator's plain evaluation).
-func (e *ppEngineT[W]) evalGood(val []W) {
-	var zero W
-	ones := zero.Not()
+// evalGood evaluates the combinational core fault-free over 64 pattern
+// lanes (the pattern-lane twin of sim.Evaluator's plain evaluation).
+func (e *ppEngine) evalGood(val []logic.W64) {
+	const ones = ^logic.W64(0)
 	gs := e.c.Gates
 	for _, id := range e.c.EvalOrder() {
 		gate := &gs[id]
-		var w W
+		var w logic.W64
 		switch gate.Type {
 		case circuit.And, circuit.Nand:
 			w = ones
 			for _, fi := range gate.Fanin {
-				w = w.And(val[fi])
+				w = w & val[fi]
 			}
 			if gate.Type == circuit.Nand {
-				w = w.Not()
+				w = ^w
 			}
 		case circuit.Or, circuit.Nor:
 			for _, fi := range gate.Fanin {
-				w = w.Or(val[fi])
+				w = w | val[fi]
 			}
 			if gate.Type == circuit.Nor {
-				w = w.Not()
+				w = ^w
 			}
 		case circuit.Xor, circuit.Xnor:
 			for _, fi := range gate.Fanin {
-				w = w.Xor(val[fi])
+				w = w ^ val[fi]
 			}
 			if gate.Type == circuit.Xnor {
-				w = w.Not()
+				w = ^w
 			}
 		case circuit.Not:
-			w = val[gate.Fanin[0]].Not()
+			w = ^val[gate.Fanin[0]]
 		case circuit.Buf:
 			w = val[gate.Fanin[0]]
 		case circuit.Const0:
@@ -390,25 +355,25 @@ const (
 	ppCaptureStuck                    // flip-flop input stuck: forced at capture
 )
 
-type ppFault[W logic.Lanes[W]] struct {
+type ppFault struct {
 	kind ppFaultKind
 	gate int
 	pin  int
-	pos  int // chain position for the flip-flop kinds
-	sv   W   // stuck value spread across all lanes
+	pos  int       // chain position for the flip-flop kinds
+	sv   logic.W64 // stuck value spread across all lanes
 }
 
-// ppWorkerT is one goroutine's private kernel state.
-type ppWorkerT[W logic.Lanes[W]] struct {
-	e *ppEngineT[W]
+// ppWorker is one goroutine's private kernel state.
+type ppWorker struct {
+	e *ppEngine
 
 	// Per-frame event state, validity tracked by epoch stamps so nothing
 	// is cleared between frames or faults.
 	epoch   uint64
-	diff    []W       // node -> faulty XOR fault-free, valid when stamp == epoch
-	stamp   []uint64  // node -> epoch of diff
-	inBkt   []uint64  // gate -> epoch when already queued
-	buckets [][]int32 // level -> queued gates
+	diff    []logic.W64 // node -> faulty XOR fault-free, valid when stamp == epoch
+	stamp   []uint64    // node -> epoch of diff
+	inBkt   []uint64    // gate -> epoch when already queued
+	buckets [][]int32   // level -> queued gates
 	minLvl  int
 	maxLvl  int
 	active  []int32 // nodes with a nonzero diff this frame
@@ -418,45 +383,45 @@ type ppWorkerT[W logic.Lanes[W]] struct {
 	// fault-parallel simulator's: chain position p lives in slot
 	// (rhead+p) mod m, so a scan shift is a head rotation. Only dirty
 	// (nonzero) slots are ever touched.
-	ring       []W
+	ring       []logic.W64
 	rhead      int
 	isDirty    []bool
 	dirtySlots []int32 // may hold stale entries; isDirty is authoritative
 	dirtyCount int
 
 	// Per-group session accumulators.
-	laneMask  W
-	diverged  W
-	siteFirst [numSites]W
+	laneMask  logic.W64
+	diverged  logic.W64
+	siteFirst [numSites]logic.W64
 	stopEarly bool
 
 	// Lazy trace scratch for sessions over ppTraceBudget.
-	val     []W
-	lt      *ppTrace[W]
+	val     []logic.W64
+	lt      *ppTrace
 	ltGroup int
 }
 
-func (e *ppEngineT[W]) newWorker() ppWorker {
+func (e *ppEngine) newWorker() *ppWorker {
 	ng := e.c.NumGates()
-	return &ppWorkerT[W]{
+	return &ppWorker{
 		e:       e,
-		diff:    make([]W, ng),
+		diff:    make([]logic.W64, ng),
 		stamp:   make([]uint64, ng),
 		inBkt:   make([]uint64, ng),
 		buckets: make([][]int32, e.depth+1),
-		ring:    make([]W, e.m),
+		ring:    make([]logic.W64, e.m),
 		isDirty: make([]bool, e.m),
 		ltGroup: -1,
 	}
 }
 
-func (w *ppWorkerT[W]) traceFor(gi int) *ppTrace[W] {
+func (w *ppWorker) traceFor(gi int) *ppTrace {
 	if w.e.traces != nil {
 		return w.e.traces[gi]
 	}
 	if w.ltGroup != gi {
 		if w.val == nil {
-			w.val = make([]W, w.e.c.NumGates())
+			w.val = make([]logic.W64, w.e.c.NumGates())
 		}
 		w.lt = w.e.buildTrace(w.e.groups[gi], w.val)
 		w.ltGroup = gi
@@ -467,23 +432,23 @@ func (w *ppWorkerT[W]) traceFor(gi int) *ppTrace[W] {
 // runBatch simulates every fault of the batch, one at a time across all
 // pattern lanes, and assembles the identical detection mask and per-site
 // first-divergence masks the fault-parallel runBatch publishes — so the
-// shared mergeBatch fold downstream cannot tell the modes apart.
-func (w *ppWorkerT[W]) runBatch(faults []fault.Fault, batch []int, opts Options, sites *[numSites]logic.Word) logic.Word {
+// shared mergeBatch fold downstream cannot tell the kernels apart.
+func (w *ppWorker) runBatch(faults []fault.Fault, batch []int, opts Options, sites *[numSites]logic.Word) logic.Word {
 	var det logic.Word
 	w.stopEarly = sites == nil && !opts.NoEarlyExit
 	for j, fi := range batch {
 		f := w.classify(faults[fi])
-		var firstDiv W
-		var firstSite [numSites]W
+		var firstDiv logic.W64
+		var firstSite [numSites]logic.W64
 		got := false
 		if len(w.e.groups) == 0 {
 			w.runEmptySession(f)
-			got = !w.diverged.IsZero()
+			got = w.diverged != 0
 			firstDiv, firstSite = w.diverged, w.siteFirst
 		}
 		for gi := range w.e.groups {
 			w.runFault(w.e.groups[gi], w.traceFor(gi), f)
-			if !got && !w.diverged.IsZero() {
+			if !got && w.diverged != 0 {
 				// The first diverged group decides the verdict: its lanes
 				// are the earliest tests (observation order is
 				// test-contiguous in the fault-parallel session).
@@ -512,11 +477,10 @@ func (w *ppWorkerT[W]) runBatch(faults []fault.Fault, batch []int, opts Options,
 	return det
 }
 
-func (w *ppWorkerT[W]) classify(f fault.Fault) ppFault[W] {
-	var zero W
-	pf := ppFault[W]{gate: f.Gate, pin: f.Pin}
+func (w *ppWorker) classify(f fault.Fault) ppFault {
+	pf := ppFault{gate: f.Gate, pin: f.Pin}
 	if f.Stuck != 0 {
-		pf.sv = zero.Not()
+		pf.sv = ^logic.W64(0)
 	}
 	g := &w.e.c.Gates[f.Gate]
 	switch {
@@ -539,13 +503,10 @@ func (w *ppWorkerT[W]) classify(f fault.Fault) ppFault[W] {
 // runFault replays one group's session for one fault as a difference
 // against the fault-free trace, leaving the lanes that diverged and their
 // first sites in w.diverged / w.siteFirst.
-func (w *ppWorkerT[W]) runFault(g ppGroup, tr *ppTrace[W], f ppFault[W]) {
-	var zero W
-	w.laneMask = zero.MaskBelow(g.hi - g.lo)
-	w.diverged = zero
-	for s := range w.siteFirst {
-		w.siteFirst[s] = zero
-	}
+func (w *ppWorker) runFault(g ppGroup, tr *ppTrace, f ppFault) {
+	w.laneMask = logic.LanesBelow(g.hi - g.lo)
+	w.diverged = 0
+	w.siteFirst = [numSites]logic.W64{}
 	w.clearRing()
 
 	m := w.e.m
@@ -554,7 +515,7 @@ func (w *ppWorkerT[W]) runFault(g ppGroup, tr *ppTrace[W], f ppFault[W]) {
 	// own position and everything that shifted past it.
 	if f.kind == ppStateStuck {
 		for p := f.pos; p < m; p++ {
-			w.setRingPos(p, tr.statePost[0][p].Xor(f.sv))
+			w.setRingPos(p, tr.statePost[0][p]^f.sv)
 		}
 	}
 	for u := 0; u < g.frames; u++ {
@@ -564,7 +525,7 @@ func (w *ppWorkerT[W]) runFault(g ppGroup, tr *ppTrace[W], f ppFault[W]) {
 			}
 		}
 		w.frame(u, tr, f)
-		if w.stopEarly && !w.diverged.IsZero() {
+		if w.stopEarly && w.diverged != 0 {
 			return
 		}
 		w.capture(u, tr, f)
@@ -578,13 +539,10 @@ func (w *ppWorkerT[W]) runFault(g ppGroup, tr *ppTrace[W], f ppFault[W]) {
 // runEmptySession mirrors a session with no tests: the fault-parallel
 // runBatch still scans out the reset (all-zero) state, so a stuck-at-1
 // flip-flop output is observable even then. Single machine, lane 0.
-func (w *ppWorkerT[W]) runEmptySession(f ppFault[W]) {
-	var zero W
-	w.laneMask = zero.MaskBelow(1)
-	w.diverged = zero
-	for s := range w.siteFirst {
-		w.siteFirst[s] = zero
-	}
+func (w *ppWorker) runEmptySession(f ppFault) {
+	w.laneMask = logic.LanesBelow(1)
+	w.diverged = 0
+	w.siteFirst = [numSites]logic.W64{}
 	w.clearRing()
 	if f.kind != ppStateStuck || w.e.m == 0 {
 		return
@@ -600,7 +558,7 @@ func (w *ppWorkerT[W]) runEmptySession(f ppFault[W]) {
 // state entering the operation, fill the packed incoming bits; both may
 // be nil, meaning all-zero — the final scan-out). Returns true when the
 // early exit fired.
-func (w *ppWorkerT[W]) scanOp(S int, pre, fill []W, site int, f ppFault[W]) bool {
+func (w *ppWorker) scanOp(S int, pre, fill []logic.W64, site int, f ppFault) bool {
 	m := w.e.m
 	if m == 0 || S == 0 {
 		return false
@@ -612,7 +570,6 @@ func (w *ppWorkerT[W]) scanOp(S int, pre, fill []W, site int, f ppFault[W]) bool
 		w.rhead = ((w.rhead-S)%m + m) % m
 		return false
 	}
-	var zero W
 	for j := 1; j <= S; j++ {
 		out := w.rhead - 1
 		if out < 0 {
@@ -620,7 +577,7 @@ func (w *ppWorkerT[W]) scanOp(S int, pre, fill []W, site int, f ppFault[W]) bool
 		}
 		if w.isDirty[out] {
 			w.observe(site, w.ring[out])
-			w.ring[out] = zero
+			w.ring[out] = 0
 			w.isDirty[out] = false
 			w.dirtyCount--
 		}
@@ -630,7 +587,7 @@ func (w *ppWorkerT[W]) scanOp(S int, pre, fill []W, site int, f ppFault[W]) bool
 		if hasStuck {
 			// Fault-free value at the stuck position after j shifts: the
 			// bit j below it before the operation, or an incoming fill bit.
-			var good W
+			var good logic.W64
 			if f.pos >= j {
 				if pre != nil {
 					good = pre[f.pos-j]
@@ -638,12 +595,12 @@ func (w *ppWorkerT[W]) scanOp(S int, pre, fill []W, site int, f ppFault[W]) bool
 			} else if fill != nil {
 				good = fill[j-1-f.pos]
 			}
-			w.setRingPos(f.pos, good.Xor(f.sv))
+			w.setRingPos(f.pos, good^f.sv)
 		} else if w.dirtyCount == 0 {
 			w.rhead = ((w.rhead-(S-j))%m + m) % m
 			break
 		}
-		if w.stopEarly && !w.diverged.IsZero() {
+		if w.stopEarly && w.diverged != 0 {
 			return true
 		}
 	}
@@ -654,7 +611,7 @@ func (w *ppWorkerT[W]) scanOp(S int, pre, fill []W, site int, f ppFault[W]) bool
 // differences, propagate through the levelized buckets (each gate
 // evaluated at most once, after all its fan-ins settled), then observe
 // the primary outputs that changed.
-func (w *ppWorkerT[W]) frame(u int, tr *ppTrace[W], f ppFault[W]) {
+func (w *ppWorker) frame(u int, tr *ppTrace, f ppFault) {
 	w.epoch++
 	w.active = w.active[:0]
 	w.poHit = w.poHit[:0]
@@ -674,7 +631,7 @@ func (w *ppWorkerT[W]) frame(u int, tr *ppTrace[W], f ppFault[W]) {
 	}
 	switch f.kind {
 	case ppSourceStem:
-		if d := tr.frameVals[u][f.gate].Xor(f.sv); !d.IsZero() {
+		if d := tr.frameVals[u][f.gate] ^ f.sv; d != 0 {
 			w.stampNode(int32(f.gate), d)
 		}
 	case ppGateStem, ppGatePin:
@@ -694,7 +651,7 @@ func (w *ppWorkerT[W]) frame(u int, tr *ppTrace[W], f ppFault[W]) {
 
 // stampNode records a nonzero difference on a node and schedules its
 // combinational fanout (flip-flop fanouts are handled at capture).
-func (w *ppWorkerT[W]) stampNode(id int32, d W) {
+func (w *ppWorker) stampNode(id int32, d logic.W64) {
 	w.stamp[id] = w.epoch
 	w.diff[id] = d
 	w.active = append(w.active, id)
@@ -709,7 +666,7 @@ func (w *ppWorkerT[W]) stampNode(id int32, d W) {
 	}
 }
 
-func (w *ppWorkerT[W]) push(id int32) {
+func (w *ppWorker) push(id int32) {
 	if w.inBkt[id] == w.epoch {
 		return
 	}
@@ -726,20 +683,20 @@ func (w *ppWorkerT[W]) push(id int32) {
 
 // in reads a fan-in's faulty value: the trace value XOR its difference,
 // if one was stamped this frame.
-func (w *ppWorkerT[W]) in(fi int, fv []W) W {
+func (w *ppWorker) in(fi int, fv []logic.W64) logic.W64 {
 	v := fv[fi]
 	if w.stamp[fi] == w.epoch {
-		v = v.Xor(w.diff[fi])
+		v = v ^ w.diff[fi]
 	}
 	return v
 }
 
 // evalDiff re-evaluates one scheduled gate against the faulty fan-in
 // values and stamps it if its output actually changed.
-func (w *ppWorkerT[W]) evalDiff(id int, u int, tr *ppTrace[W], f ppFault[W]) {
+func (w *ppWorker) evalDiff(id int, u int, tr *ppTrace, f ppFault) {
 	fv := tr.frameVals[u]
 	gate := &w.e.c.Gates[id]
-	var out W
+	var out logic.W64
 	switch {
 	case f.kind == ppGateStem && f.gate == id:
 		out = f.sv
@@ -748,44 +705,44 @@ func (w *ppWorkerT[W]) evalDiff(id int, u int, tr *ppTrace[W], f ppFault[W]) {
 	default:
 		out = w.evalGateDiff(gate, fv)
 	}
-	if d := out.Xor(fv[id]); !d.IsZero() {
+	if d := out ^ fv[id]; d != 0 {
 		w.stampNode(int32(id), d)
 	}
 }
 
-func (w *ppWorkerT[W]) evalGateDiff(gate *circuit.Gate, fv []W) W {
-	var out W
+func (w *ppWorker) evalGateDiff(gate *circuit.Gate, fv []logic.W64) logic.W64 {
+	var out logic.W64
 	switch gate.Type {
 	case circuit.And, circuit.Nand:
-		out = out.Not()
+		out = ^out
 		for _, fi := range gate.Fanin {
-			out = out.And(w.in(fi, fv))
+			out = out & w.in(fi, fv)
 		}
 		if gate.Type == circuit.Nand {
-			out = out.Not()
+			out = ^out
 		}
 	case circuit.Or, circuit.Nor:
 		for _, fi := range gate.Fanin {
-			out = out.Or(w.in(fi, fv))
+			out = out | w.in(fi, fv)
 		}
 		if gate.Type == circuit.Nor {
-			out = out.Not()
+			out = ^out
 		}
 	case circuit.Xor, circuit.Xnor:
 		for _, fi := range gate.Fanin {
-			out = out.Xor(w.in(fi, fv))
+			out = out ^ w.in(fi, fv)
 		}
 		if gate.Type == circuit.Xnor {
-			out = out.Not()
+			out = ^out
 		}
 	case circuit.Not:
-		out = w.in(gate.Fanin[0], fv).Not()
+		out = ^w.in(gate.Fanin[0], fv)
 	case circuit.Buf:
 		out = w.in(gate.Fanin[0], fv)
 	case circuit.Const0:
 		// zero
 	case circuit.Const1:
-		out = out.Not()
+		out = ^out
 	default:
 		panic(fmt.Sprintf("fsim: gate %q of type %s scheduled in difference pass", gate.Name, gate.Type))
 	}
@@ -794,39 +751,39 @@ func (w *ppWorkerT[W]) evalGateDiff(gate *circuit.Gate, fv []W) W {
 
 // evalGatePin evaluates the faulty gate of a branch fault: the stuck pin
 // reads the stuck value, every other pin its faulty fan-in.
-func (w *ppWorkerT[W]) evalGatePin(gate *circuit.Gate, fv []W, f ppFault[W]) W {
-	pin := func(i int) W {
+func (w *ppWorker) evalGatePin(gate *circuit.Gate, fv []logic.W64, f ppFault) logic.W64 {
+	pin := func(i int) logic.W64 {
 		if i == f.pin {
 			return f.sv
 		}
 		return w.in(gate.Fanin[i], fv)
 	}
-	var out W
+	var out logic.W64
 	switch gate.Type {
 	case circuit.And, circuit.Nand:
-		out = out.Not()
+		out = ^out
 		for i := range gate.Fanin {
-			out = out.And(pin(i))
+			out = out & pin(i)
 		}
 		if gate.Type == circuit.Nand {
-			out = out.Not()
+			out = ^out
 		}
 	case circuit.Or, circuit.Nor:
 		for i := range gate.Fanin {
-			out = out.Or(pin(i))
+			out = out | pin(i)
 		}
 		if gate.Type == circuit.Nor {
-			out = out.Not()
+			out = ^out
 		}
 	case circuit.Xor, circuit.Xnor:
 		for i := range gate.Fanin {
-			out = out.Xor(pin(i))
+			out = out ^ pin(i)
 		}
 		if gate.Type == circuit.Xnor {
-			out = out.Not()
+			out = ^out
 		}
 	case circuit.Not:
-		out = pin(0).Not()
+		out = ^pin(0)
 	case circuit.Buf:
 		out = pin(0)
 	default:
@@ -839,12 +796,11 @@ func (w *ppWorkerT[W]) evalGatePin(gate *circuit.Gate, fv []W, f ppFault[W]) W {
 // flip-flop takes its capture source's difference (usually zero — old
 // ring differences die unless re-fed), then the flip-flop fault, if any,
 // re-pins its position against the fault-free next state.
-func (w *ppWorkerT[W]) capture(u int, tr *ppTrace[W], f ppFault[W]) {
-	var zero W
+func (w *ppWorker) capture(u int, tr *ppTrace, f ppFault) {
 	if w.dirtyCount > 0 {
 		for _, slot := range w.dirtySlots {
 			if w.isDirty[slot] {
-				w.ring[slot] = zero
+				w.ring[slot] = 0
 				w.isDirty[slot] = false
 			}
 		}
@@ -857,16 +813,16 @@ func (w *ppWorkerT[W]) capture(u int, tr *ppTrace[W], f ppFault[W]) {
 		}
 	}
 	if f.kind == ppCaptureStuck || f.kind == ppStateStuck {
-		w.setRingPos(f.pos, tr.statePost[u+1][f.pos].Xor(f.sv))
+		w.setRingPos(f.pos, tr.statePost[u+1][f.pos]^f.sv)
 	}
 }
 
-func (w *ppWorkerT[W]) setRingPos(p int, d W) {
+func (w *ppWorker) setRingPos(p int, d logic.W64) {
 	slot := w.rhead + p
 	if slot >= w.e.m {
 		slot -= w.e.m
 	}
-	if d.IsZero() {
+	if d == 0 {
 		if w.isDirty[slot] {
 			w.ring[slot] = d
 			w.isDirty[slot] = false
@@ -882,11 +838,10 @@ func (w *ppWorkerT[W]) setRingPos(p int, d W) {
 	}
 }
 
-func (w *ppWorkerT[W]) clearRing() {
-	var zero W
+func (w *ppWorker) clearRing() {
 	for _, slot := range w.dirtySlots {
 		if w.isDirty[slot] {
-			w.ring[slot] = zero
+			w.ring[slot] = 0
 			w.isDirty[slot] = false
 		}
 	}
@@ -898,15 +853,15 @@ func (w *ppWorkerT[W]) clearRing() {
 // observe folds one observed difference word into the session verdict:
 // lanes diverging for the first time credit this site (within a lane,
 // observations arrive in the fault-parallel session's order).
-func (w *ppWorkerT[W]) observe(site int, d W) {
-	d = d.And(w.laneMask)
-	if d.IsZero() {
+func (w *ppWorker) observe(site int, d logic.W64) {
+	d = d & w.laneMask
+	if d == 0 {
 		return
 	}
-	newly := d.AndNot(w.diverged)
-	if newly.IsZero() {
+	newly := d &^ w.diverged
+	if newly == 0 {
 		return
 	}
-	w.siteFirst[site] = w.siteFirst[site].Or(newly)
-	w.diverged = w.diverged.Or(newly)
+	w.siteFirst[site] = w.siteFirst[site] | newly
+	w.diverged = w.diverged | newly
 }

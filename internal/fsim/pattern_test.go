@@ -1,6 +1,7 @@
 package fsim
 
 import (
+	"fmt"
 	"testing"
 
 	"limscan/internal/bmark"
@@ -36,13 +37,23 @@ func diffStates(t *testing.T, c *circuit.Circuit, reps []fault.Fault, label stri
 	}
 }
 
-// TestParallelPatternMatchesFaultParallelBmarks is the tentpole's
+// Forced kernels for the differential tests: each compares the two
+// kernels explicitly, never through the choice Run would make (which
+// would compare the pattern-parallel kernel with itself on scan-free
+// sessions).
+var (
+	fp1 = Options{Workers: 1, kernel: kernelFault}
+	pp1 = Options{Workers: 1, kernel: kernelPattern}
+	pp4 = Options{Workers: 4, kernel: kernelPattern}
+)
+
+// TestParallelPatternMatchesFaultParallelBmarks is the kernel
 // differential gate: on every registered benchmark circuit, the
-// pattern-parallel kernel — serial and sharded across 4 workers, at both
-// lane widths — must reproduce the fault-parallel RunStats struct
-// (detections, batch count, cycle cost, per-site attribution) and the
-// per-fault detection states exactly. The "Parallel" name puts it under
-// `make paradiff`, so it also runs under -race at GOMAXPROCS 1 and 4.
+// pattern-parallel kernel — serial and sharded across 4 workers — must
+// reproduce the fault-parallel RunStats struct (detections, batch count,
+// cycle cost, per-site attribution) and the per-fault detection states
+// exactly. The "Parallel" name puts it under `make paradiff`, so it also
+// runs under -race at GOMAXPROCS 1 and 4.
 func TestParallelPatternMatchesFaultParallelBmarks(t *testing.T) {
 	for _, name := range bmark.Names() {
 		spec, _ := bmark.Info(name)
@@ -58,14 +69,13 @@ func TestParallelPatternMatchesFaultParallelBmarks(t *testing.T) {
 			reps, _ := fault.Collapse(c, fault.Universe(c))
 			n, length := sessionDims(len(c.Gates))
 			tests := randomTests(c, n, length, true, spec.Seed^0xA5A5)
-			base, baseStates := runSession(t, c, reps, tests, Options{Workers: 1})
+			base, baseStates := runSession(t, c, reps, tests, fp1)
 			cases := []struct {
 				label string
 				o     Options
 			}{
-				{"pp/w1", Options{Mode: PatternParallel, Workers: 1}},
-				{"pp/w4", Options{Mode: PatternParallel, Workers: 4}},
-				{"pp-wide/w1", Options{Mode: PatternParallel, PatternsPerPass: WidePatternsPerPass, Workers: 1}},
+				{"pp/w1", pp1},
+				{"pp/w4", pp4},
 			}
 			for _, tc := range cases {
 				stats, states := runSession(t, c, reps, tests, tc.o)
@@ -89,7 +99,7 @@ func TestParallelPatternAgainstReference(t *testing.T) {
 		for _, seed := range []uint64{1, 2, 3} {
 			tests := randomTests(c, 4, 6, withScans, seed)
 			fs := fault.NewSet(reps)
-			if _, err := New(c).Run(tests, fs, Options{Mode: PatternParallel}); err != nil {
+			if _, err := New(c).Run(tests, fs, pp1); err != nil {
 				t.Fatal(err)
 			}
 			for i, f := range reps {
@@ -118,22 +128,17 @@ func TestParallelPatternOddCounts(t *testing.T) {
 			continue
 		}
 		tests := randomTests(c, n, 2, true, uint64(n))
-		base, baseStates := runSession(t, c, reps, tests, Options{Workers: 1})
-		for _, o := range []Options{
-			{Mode: PatternParallel, Workers: 1},
-			{Mode: PatternParallel, PatternsPerPass: WidePatternsPerPass, Workers: 1},
-		} {
-			stats, states := runSession(t, c, reps, tests, o)
-			if stats != base {
-				t.Errorf("n=%d ppp=%d stats = %+v, want %+v", n, o.PatternsPerPass, stats, base)
-			}
-			diffStates(t, c, reps, "odd-count", states, baseStates)
+		base, baseStates := runSession(t, c, reps, tests, fp1)
+		stats, states := runSession(t, c, reps, tests, pp1)
+		if stats != base {
+			t.Errorf("n=%d stats = %+v, want %+v", n, stats, base)
 		}
+		diffStates(t, c, reps, "odd-count", states, baseStates)
 	}
 }
 
 // TestParallelPatternNoEarlyExit pins the ablation path: with early exit
-// disabled both modes still agree (the pattern-parallel kernel must keep
+// disabled both kernels still agree (the pattern-parallel kernel must keep
 // the first diverged group's verdict even though it sweeps them all).
 func TestParallelPatternNoEarlyExit(t *testing.T) {
 	c, err := bmark.Load("s344")
@@ -142,8 +147,10 @@ func TestParallelPatternNoEarlyExit(t *testing.T) {
 	}
 	reps, _ := fault.Collapse(c, fault.Universe(c))
 	tests := randomTests(c, 70, 3, true, 17)
-	base, baseStates := runSession(t, c, reps, tests, Options{Workers: 1, NoEarlyExit: true})
-	stats, states := runSession(t, c, reps, tests, Options{Mode: PatternParallel, Workers: 1, NoEarlyExit: true})
+	fp, pp := fp1, pp1
+	fp.NoEarlyExit, pp.NoEarlyExit = true, true
+	base, baseStates := runSession(t, c, reps, tests, fp)
+	stats, states := runSession(t, c, reps, tests, pp)
 	if stats != base {
 		t.Errorf("NoEarlyExit stats = %+v, want %+v", stats, base)
 	}
@@ -160,70 +167,77 @@ func TestParallelPatternZeroTests(t *testing.T) {
 		t.Fatal(err)
 	}
 	reps, _ := fault.Collapse(c, fault.Universe(c))
-	base, baseStates := runSession(t, c, reps, nil, Options{Workers: 1})
+	base, baseStates := runSession(t, c, reps, nil, fp1)
 	if base.Detected == 0 {
 		t.Fatalf("oracle expectation broken: zero-test session detected nothing (want stuck-at-1 flip-flop outputs)")
 	}
-	stats, states := runSession(t, c, reps, nil, Options{Mode: PatternParallel, Workers: 1})
+	stats, states := runSession(t, c, reps, nil, pp1)
 	if stats != base {
 		t.Errorf("zero-test stats = %+v, want %+v", stats, base)
 	}
 	diffStates(t, c, reps, "zero-tests", states, baseStates)
 }
 
-// TestParallelPatternRejections pins the documented limits of the
-// pattern-parallel mode: partial scan plans and transition faults are
-// run-time errors with actionable messages, MISR compaction and
-// mode/width mismatches fail Validate.
+// partialPlan scans all but the last state variable of c, and
+// partialTests resizes tests' scan-in vectors to its shorter chain.
+func partialPlan(c *circuit.Circuit) scan.Plan {
+	plan := scan.Plan{Total: c.NumSV()}
+	for p := 0; p < c.NumSV()-1; p++ {
+		plan.Chain = append(plan.Chain, p)
+	}
+	return plan
+}
+
+func partialTests(tests []scan.Test, plan scan.Plan) []scan.Test {
+	for i := range tests {
+		si := logic.NewVec(plan.Len())
+		for b := 0; b < si.Len(); b++ {
+			si.Set(b, tests[i].SI.Get(b))
+		}
+		tests[i].SI = si
+		for u, sh := range tests[i].Shift {
+			if sh > plan.Len() {
+				tests[i].Shift[u] = plan.Len()
+				tests[i].Fill[u] = tests[i].Fill[u][:plan.Len()]
+			}
+		}
+	}
+	return tests
+}
+
+// TestParallelPatternRejections pins the limits of the pattern-parallel
+// kernel: forced onto a partial scan plan, transition faults or MISR
+// compaction, Run refuses rather than simulate inexactly.
 func TestParallelPatternRejections(t *testing.T) {
 	c, err := bmark.Load("s344")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Partial plan: scan all but the last state variable.
-	partial := scan.Plan{Total: c.NumSV()}
-	for p := 0; p < c.NumSV()-1; p++ {
-		partial.Chain = append(partial.Chain, p)
-	}
-	s, err := NewWithPlan(c, partial)
+	plan := partialPlan(c)
+	s, err := NewWithPlan(c, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reps, _ := fault.Collapse(c, fault.Universe(c))
-	fs := fault.NewSet(reps)
-	tests := randomTests(c, 1, 2, false, 9)
-	for i := range tests {
-		// randomTests sizes SI for full scan; rebuild for the short chain.
-		si := logic.NewVec(partial.Len())
-		for b := 0; b < si.Len(); b++ {
-			si.Set(b, tests[i].SI.Get(b))
-		}
-		tests[i].SI = si
-	}
-	if _, err := s.Run(tests, fs, Options{Mode: PatternParallel}); err == nil {
-		t.Error("pattern-parallel Run accepted a partial scan plan, want error")
+	tests := partialTests(randomTests(c, 1, 2, false, 9), plan)
+	if _, err := s.Run(tests, fault.NewSet(reps), pp1); err == nil {
+		t.Error("pattern-parallel kernel accepted a partial scan plan, want error")
 	}
 
-	// Transition faults.
 	tfs := fault.NewSet(fault.TransitionUniverse(c))
-	if _, err := New(c).Run(randomTests(c, 1, 2, false, 9), tfs, Options{Mode: PatternParallel}); err == nil {
-		t.Error("pattern-parallel Run accepted transition faults, want error")
+	if _, err := New(c).Run(randomTests(c, 1, 2, false, 9), tfs, pp1); err == nil {
+		t.Error("pattern-parallel kernel accepted transition faults, want error")
 	}
 
-	for _, o := range []Options{
-		{Mode: PatternParallel, MISRDegree: 16},
-		{Mode: FaultParallel, PatternsPerPass: DefaultPatternsPerPass},
-		{Mode: PatternParallel, PatternsPerPass: 100},
-		{Mode: Mode(7)},
-	} {
-		if err := o.Validate(); err == nil {
-			t.Errorf("Validate(%+v) = nil, want error", o)
-		}
+	misr := pp1
+	misr.MISRDegree = 16
+	if _, err := New(c).Run(randomTests(c, 1, 2, false, 9), fault.NewSet(reps), misr); err == nil {
+		t.Error("pattern-parallel kernel accepted MISR compaction, want error")
 	}
 }
 
-// TestParallelPatternMetrics checks the mode observability surface.
+// TestParallelPatternMetrics checks that the fsim_mode gauge reports the
+// kernel that ran, forced either way.
 func TestParallelPatternMetrics(t *testing.T) {
 	c, err := bmark.Load("s298")
 	if err != nil {
@@ -231,12 +245,11 @@ func TestParallelPatternMetrics(t *testing.T) {
 	}
 	reps, _ := fault.Collapse(c, fault.Universe(c))
 	for _, tc := range []struct {
-		o        Options
-		mode, pp float64
+		o    Options
+		mode float64
 	}{
-		{Options{Workers: 1}, 0, 0},
-		{Options{Mode: PatternParallel, Workers: 1}, 1, 64},
-		{Options{Mode: PatternParallel, PatternsPerPass: WidePatternsPerPass, Workers: 1}, 1, 256},
+		{fp1, 0},
+		{pp1, 1},
 	} {
 		reg := obs.NewRegistry()
 		fs := fault.NewSet(reps)
@@ -245,11 +258,109 @@ func TestParallelPatternMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := reg.Gauge("fsim_mode").Value(); got != tc.mode {
-			t.Errorf("%v: fsim_mode = %v, want %v", tc.o.Mode, got, tc.mode)
+			t.Errorf("kernel %d: fsim_mode = %v, want %v", tc.o.kernel, got, tc.mode)
 		}
-		if got := reg.Gauge("fsim_patterns_per_pass").Value(); got != tc.pp {
-			t.Errorf("%v: fsim_patterns_per_pass = %v, want %v", tc.o.Mode, got, tc.pp)
+	}
+}
+
+// TestKernelChoice pins the rule Run uses to pick a kernel, read back
+// through the fsim_mode gauge: pattern-parallel exactly for a full scan
+// plan, stuck-at faults, exact comparison, no limited-scan shift (an
+// explicit all-zero schedule counts as none) and at least
+// minPatternLanes tests per pattern group; fault-parallel for every
+// other combination, for sessions that fill too few lanes and for
+// sessions with no fault left to simulate.
+func TestKernelChoice(t *testing.T) {
+	c, err := bmark.Load("s298")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps, _ := fault.Collapse(c, fault.Universe(c))
+	trans := fault.TransitionUniverse(c)
+	for _, full := range []bool{true, false} {
+		for _, stuckAt := range []bool{true, false} {
+			for _, misr := range []bool{false, true} {
+				for _, shifts := range []string{"none", "zero", "limited"} {
+					name := fmt.Sprintf("full=%v/stuck-at=%v/misr=%v/shift=%s", full, stuckAt, misr, shifts)
+					t.Run(name, func(t *testing.T) {
+						s := New(c)
+						tests := randomTests(c, minPatternLanes, 4, shifts == "limited", 5)
+						if shifts == "zero" {
+							for i := range tests {
+								tests[i].Shift = make([]int, tests[i].Len())
+								tests[i].Fill = make([][]uint8, tests[i].Len())
+							}
+						}
+						if !full {
+							plan := partialPlan(c)
+							if s, err = NewWithPlan(c, plan); err != nil {
+								t.Fatal(err)
+							}
+							tests = partialTests(tests, plan)
+						}
+						faults := reps
+						if !stuckAt {
+							faults = trans
+						}
+						reg := obs.NewRegistry()
+						reg.Gauge("fsim_mode").Set(-1) // Run must overwrite it
+						o := Options{Workers: 1, Obs: obs.New(reg, nil)}
+						if misr {
+							o.MISRDegree = 16
+						}
+						if _, err := s.Run(tests, fault.NewSet(faults), o); err != nil {
+							t.Fatal(err)
+						}
+						want := 0.0
+						if full && stuckAt && !misr && shifts != "limited" {
+							want = 1
+						}
+						if got := reg.Gauge("fsim_mode").Value(); got != want {
+							t.Errorf("fsim_mode = %v, want %v", got, want)
+						}
+					})
+				}
+			}
 		}
+	}
+
+	// Lane fill and an empty session, on the otherwise eligible shape.
+	mixed := randomTests(c, 2*minPatternLanes, 1, false, 6)
+	for i := 1; i < len(mixed); i += 2 {
+		mixed[i] = randomTests(c, 1, 2, false, uint64(i))[0]
+	}
+	done := fault.NewSet(reps)
+	for i := range done.State {
+		done.State[i] = fault.Detected
+	}
+	doneTrans := fault.NewSet(trans)
+	for i := range doneTrans.State {
+		doneTrans.State[i] = fault.Detected
+	}
+	for _, tc := range []struct {
+		name  string
+		tests []scan.Test
+		fs    *fault.Set
+		want  float64
+	}{
+		{"no tests", nil, fault.NewSet(reps), 0},
+		{"one test", randomTests(c, 1, 4, false, 5), fault.NewSet(reps), 0},
+		{"one lane short", randomTests(c, minPatternLanes-1, 4, false, 5), fault.NewSet(reps), 0},
+		{"exactly full", randomTests(c, minPatternLanes, 4, false, 5), fault.NewSet(reps), 1},
+		{"alternating lengths", mixed, fault.NewSet(reps), 0},
+		{"no faults left", randomTests(c, 64, 4, false, 5), done, 0},
+		{"no transition faults left", randomTests(c, 64, 4, false, 5), doneTrans, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			reg.Gauge("fsim_mode").Set(-1)
+			if _, err := New(c).Run(tc.tests, tc.fs, Options{Workers: 1, Obs: obs.New(reg, nil)}); err != nil {
+				t.Fatal(err)
+			}
+			if got := reg.Gauge("fsim_mode").Value(); got != tc.want {
+				t.Errorf("fsim_mode = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 

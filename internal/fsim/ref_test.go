@@ -216,9 +216,10 @@ func randomTests(c *circuit.Circuit, n, length int, withScans bool, seed uint64)
 	return tests
 }
 
-// TestDifferentialAgainstReference cross-checks the bit-parallel
-// simulator against the naive scalar oracle for every collapsed fault of
-// s27, with and without limited scan operations.
+// TestDifferentialAgainstReference cross-checks the fault-parallel
+// kernel against the naive scalar oracle for every collapsed fault of
+// s27, with and without limited scan operations. The kernel is forced:
+// Run would pick the pattern-parallel one for the scan-free sessions.
 func TestDifferentialAgainstReference(t *testing.T) {
 	c := s27(t)
 	reps, _ := fault.Collapse(c, fault.Universe(c))
@@ -227,7 +228,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			tests := randomTests(c, 4, 6, withScans, seed)
 			fs := fault.NewSet(reps)
 			s := New(c)
-			if _, err := s.Run(tests, fs, Options{}); err != nil {
+			if _, err := s.Run(tests, fs, Options{kernel: kernelFault}); err != nil {
 				t.Fatal(err)
 			}
 			for i, f := range reps {

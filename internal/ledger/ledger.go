@@ -34,11 +34,10 @@ const Schema = 1
 
 // Record kinds.
 const (
-	KindCampaign  = "campaign"  // a Procedure 2 campaign (cmd/limscan)
-	KindFaultSim  = "faultsim"  // a standalone simulation session (cmd/faultsim)
-	KindBenchFsim = "benchfsim" // a worker-scaling sweep (cmd/benchfsim)
-	KindService   = "service"   // one campaign-service job (cmd/limscand)
-	KindWorker    = "worker"    // one fleet-worker session (cmd/limsworker)
+	KindCampaign = "campaign" // a Procedure 2 campaign (cmd/limscan)
+	KindFaultSim = "faultsim" // a standalone simulation session (cmd/faultsim)
+	KindService  = "service"  // one campaign-service job (cmd/limscand)
+	KindWorker   = "worker"   // one fleet-worker session (cmd/limsworker)
 )
 
 // PhaseSeconds is one per-phase wall-time row, copied from the obs phase
@@ -47,17 +46,6 @@ type PhaseSeconds struct {
 	Name    string  `json:"name"`
 	Count   int     `json:"count"`
 	Seconds float64 `json:"seconds"`
-}
-
-// BenchPoint is one (mode, worker count) cell of a benchfsim sweep. Mode
-// is the fsim mode's flag spelling ("fault-parallel", "pattern-parallel");
-// empty means a pre-mode-sweep record, read as fault-parallel. Speedup is
-// relative to the same mode's Workers=1 point.
-type BenchPoint struct {
-	Mode    string  `json:"mode,omitempty"`
-	Workers int     `json:"workers"`
-	NsPerOp int64   `json:"ns_per_op"`
-	Speedup float64 `json:"speedup_vs_workers1"`
 }
 
 // Record is one run's performance accounting. Fields that do not apply
@@ -100,30 +88,6 @@ type Record struct {
 	AllocBytesTotal     uint64  `json:"alloc_bytes_total,omitempty"`
 	GCPauseSecondsTotal float64 `json:"gc_pause_seconds_total,omitempty"`
 	NumGC               uint32  `json:"num_gc,omitempty"`
-
-	// Execution-trace decomposition (from internal/trace, runs with
-	// -trace): the Amdahl serial fraction and the speedup it caps any
-	// worker count at. Zero means "not traced" — records predating
-	// tracing simply lack the keys, and Metrics omits them so old
-	// records diff and check cleanly against new ones.
-	SerialFraction float64 `json:"serial_fraction,omitempty"`
-	MaxSpeedup     float64 `json:"max_speedup,omitempty"`
-
-	// DegenerateParallelism flags a sweep measured on a host that could
-	// not actually run the workers in parallel (NumCPU < 2, or
-	// GOMAXPROCS below the widest point): its speedup column measures
-	// scheduling overhead, not scaling.
-	DegenerateParallelism bool `json:"degenerate_parallelism,omitempty"`
-
-	// PatternSpeedup is the single-thread PPSFP win a benchfsim mode
-	// sweep measured: fault-parallel ns_per_op over pattern-parallel
-	// ns_per_op, both at Workers=1. Zero when the sweep did not cover
-	// both modes at Workers=1. This is the metric perf check gates the
-	// pattern-parallel kernel on (scripts/perf_baseline_fsim.json).
-	PatternSpeedup float64 `json:"pattern_speedup_w1,omitempty"`
-
-	// Points carries a benchfsim mode × worker sweep.
-	Points []BenchPoint `json:"points,omitempty"`
 
 	// Service-job accounting (KindService records). JobID names the
 	// campaign-service job the record belongs to. CacheHit marks a
@@ -218,7 +182,7 @@ func (r *Record) FromObs(o *obs.Campaign) {
 }
 
 // HashParams digests any JSON-marshalable parameter block into the hex
-// string ParamsHash expects — for callers (benchfsim) that have no
+// string ParamsHash expects — for callers (faultsim) that have no
 // checkpoint.Meta to borrow a hash from.
 func HashParams(v any) string {
 	b, err := json.Marshal(v)
@@ -393,26 +357,8 @@ func (r *Record) Metrics() map[string]float64 {
 	if r.NumGC > 0 {
 		m["num_gc"] = float64(r.NumGC)
 	}
-	if r.SerialFraction > 0 {
-		m["serial_fraction"] = r.SerialFraction
-	}
-	if r.MaxSpeedup > 0 {
-		m["max_speedup"] = r.MaxSpeedup
-	}
 	for _, p := range r.Phases {
 		m["phase_seconds/"+p.Name] = p.Seconds
-	}
-	if r.PatternSpeedup > 0 {
-		m["pattern_speedup_w1"] = r.PatternSpeedup
-	}
-	for _, p := range r.Points {
-		if p.Mode != "" {
-			m[fmt.Sprintf("ns_per_op/mode=%s/workers=%d", p.Mode, p.Workers)] = float64(p.NsPerOp)
-		} else {
-			// Pre-mode-sweep records keep their legacy metric names, so old
-			// baselines keep checking and old-vs-new diffs line up.
-			m[fmt.Sprintf("ns_per_op/workers=%d", p.Workers)] = float64(p.NsPerOp)
-		}
 	}
 	return m
 }

@@ -132,7 +132,7 @@ func TestFilterLatest(t *testing.T) {
 	if last == nil || last.WallSeconds != 4 {
 		t.Errorf("Latest = %+v, want wall 4", last)
 	}
-	if Latest(recs, KindBenchFsim, "") != nil {
+	if Latest(recs, KindWorker, "") != nil {
 		t.Error("Latest on no match must be nil")
 	}
 }
@@ -169,7 +169,7 @@ func TestFromObs(t *testing.T) {
 func TestMetricsAndDiff(t *testing.T) {
 	a := sampleRecord(KindCampaign, "s298", 2)
 	b := sampleRecord(KindCampaign, "s298", 3)
-	b.Points = []BenchPoint{{Workers: 4, NsPerOp: 100}}
+	b.WorkerWaitSeconds = 0.25
 
 	m := a.Metrics()
 	if m["wall_seconds"] != 2 || m["phase_seconds/search"] != 1.2 {
@@ -185,7 +185,7 @@ func TestMetricsAndDiff(t *testing.T) {
 	if !w.PresentA || !w.PresentB || w.Delta() != 1 || w.Ratio() != 1.5 {
 		t.Errorf("wall_seconds row: %+v", w)
 	}
-	p := byName["ns_per_op/workers=4"]
+	p := byName["worker_wait_seconds"]
 	if p.PresentA || !p.PresentB {
 		t.Errorf("one-sided metric row: %+v", p)
 	}
@@ -193,37 +193,6 @@ func TestMetricsAndDiff(t *testing.T) {
 		if rows[i-1].Name >= rows[i].Name {
 			t.Errorf("diff rows unsorted at %d: %s >= %s", i, rows[i-1].Name, rows[i].Name)
 		}
-	}
-}
-
-// TestMetricsModePoints pins the mode-aware bench-point metric names:
-// points carrying a fsim mode get mode-qualified ns_per_op keys, legacy
-// records (empty Mode — every ledger line written before modes existed)
-// keep their original names so history stays diffable, and the
-// single-thread pattern-parallel speedup surfaces as its own metric
-// only when the sweep measured it.
-func TestMetricsModePoints(t *testing.T) {
-	r := sampleRecord(KindBenchFsim, "s35932", 1)
-	r.PatternSpeedup = 4.9
-	r.Points = []BenchPoint{
-		{Workers: 1, NsPerOp: 500},
-		{Mode: "fault-parallel", Workers: 1, NsPerOp: 490},
-		{Mode: "pattern-parallel", Workers: 1, NsPerOp: 100},
-	}
-	m := r.Metrics()
-	for key, want := range map[string]float64{
-		"ns_per_op/workers=1":                       500,
-		"ns_per_op/mode=fault-parallel/workers=1":   490,
-		"ns_per_op/mode=pattern-parallel/workers=1": 100,
-		"pattern_speedup_w1":                        4.9,
-	} {
-		if m[key] != want {
-			t.Errorf("Metrics[%q] = %v, want %v", key, m[key], want)
-		}
-	}
-	r.PatternSpeedup = 0
-	if _, ok := r.Metrics()["pattern_speedup_w1"]; ok {
-		t.Error("pattern_speedup_w1 emitted for a sweep that did not measure it")
 	}
 }
 

@@ -2,61 +2,24 @@ package logic
 
 import "math/bits"
 
-// Pattern-parallel lane words. The fault simulator's pattern-parallel
-// mode (PPSFP) packs one test pattern per lane and simulates a single
-// fault across all of them at once; W64 is the machine-word batch and
-// W256 the four-word wide batch. Both satisfy Lanes, so the simulation
-// kernel is written once over the constraint.
-//
-// These are distinct named types rather than aliases of Word because the
-// kernel needs methods (generics cannot constrain on operators), and
-// because a pattern lane and a fault lane must never be confused: Word
-// packs 63 faults plus the good machine, a Lanes value packs only tests.
-
-// Lanes is the constraint shared by the pattern-parallel batch widths.
-// The zero value has every lane 0.
-type Lanes[W any] interface {
-	// And, AndNot, Or and Xor are the lane-wise boolean connectives
-	// (AndNot(m) clears the lanes set in m).
-	And(W) W
-	AndNot(W) W
-	Or(W) W
-	Xor(W) W
-	// Not complements every lane; the all-ones word of any width is the
-	// zero value's Not.
-	Not() W
-	// IsZero reports whether every lane is 0.
-	IsZero() bool
-	// Get extracts lane i as 0 or 1. Callers must keep 0 <= i < Size.
-	Get(i int) uint8
-	// WithLane returns the word with lane i additionally set.
-	WithLane(i int) W
-	// LowestSet returns the index of the lowest set lane, or -1 if none.
-	LowestSet() int
-	// MaskBelow returns a word with lanes 0..n-1 set, independent of the
-	// receiver (the receiver only selects the width).
-	MaskBelow(n int) W
-	// Size is the number of lanes.
-	Size() int
-}
-
-// W64 is a 64-lane pattern batch.
+// W64 is a 64-lane pattern batch: the fault simulator's pattern-parallel
+// kernel (PPSFP) packs one test pattern per lane and simulates a single
+// fault across all of them at once. It is a distinct named type rather
+// than an alias of Word because a pattern lane and a fault lane must
+// never be confused: Word packs 63 faults plus the good machine, a W64
+// packs only tests. The lane-wise connectives are Go's bit operators.
 type W64 uint64
 
 // W64Lanes is the number of lanes in a W64.
 const W64Lanes = 64
 
-func (w W64) And(o W64) W64    { return w & o }
-func (w W64) AndNot(o W64) W64 { return w &^ o }
-func (w W64) Or(o W64) W64     { return w | o }
-func (w W64) Xor(o W64) W64    { return w ^ o }
-func (w W64) Not() W64         { return ^w }
-func (w W64) IsZero() bool     { return w == 0 }
-
+// Get extracts lane i as 0 or 1. Callers must keep 0 <= i < W64Lanes.
 func (w W64) Get(i int) uint8 { return uint8((w >> uint(i&63)) & 1) }
 
+// WithLane returns the word with lane i additionally set.
 func (w W64) WithLane(i int) W64 { return w | W64(1)<<uint(i&63) }
 
+// LowestSet returns the index of the lowest set lane, or -1 if none.
 func (w W64) LowestSet() int {
 	if w == 0 {
 		return -1
@@ -64,86 +27,13 @@ func (w W64) LowestSet() int {
 	return bits.TrailingZeros64(uint64(w))
 }
 
-func (W64) MaskBelow(n int) W64 {
+// LanesBelow returns a word with lanes 0..n-1 set.
+func LanesBelow(n int) W64 {
 	if n <= 0 {
 		return 0
 	}
-	if n >= 64 {
+	if n >= W64Lanes {
 		return ^W64(0)
 	}
 	return W64(1)<<uint(n) - 1
 }
-
-func (W64) Size() int { return W64Lanes }
-
-// W256 is a 256-lane pattern batch: four machine words operated on
-// together, amortizing per-gate bookkeeping over four times the patterns
-// (the ABC simPat-style wide-word layout).
-type W256 [4]uint64
-
-// W256Lanes is the number of lanes in a W256.
-const W256Lanes = 256
-
-func (w W256) And(o W256) W256 {
-	return W256{w[0] & o[0], w[1] & o[1], w[2] & o[2], w[3] & o[3]}
-}
-
-func (w W256) AndNot(o W256) W256 {
-	return W256{w[0] &^ o[0], w[1] &^ o[1], w[2] &^ o[2], w[3] &^ o[3]}
-}
-
-func (w W256) Or(o W256) W256 {
-	return W256{w[0] | o[0], w[1] | o[1], w[2] | o[2], w[3] | o[3]}
-}
-
-func (w W256) Xor(o W256) W256 {
-	return W256{w[0] ^ o[0], w[1] ^ o[1], w[2] ^ o[2], w[3] ^ o[3]}
-}
-
-func (w W256) Not() W256 {
-	return W256{^w[0], ^w[1], ^w[2], ^w[3]}
-}
-
-func (w W256) IsZero() bool { return w[0]|w[1]|w[2]|w[3] == 0 }
-
-func (w W256) Get(i int) uint8 {
-	i &= 255
-	return uint8((w[i>>6] >> uint(i&63)) & 1)
-}
-
-func (w W256) WithLane(i int) W256 {
-	i &= 255
-	w[i>>6] |= uint64(1) << uint(i&63)
-	return w
-}
-
-func (w W256) LowestSet() int {
-	for k := 0; k < 4; k++ {
-		if w[k] != 0 {
-			return k<<6 + bits.TrailingZeros64(w[k])
-		}
-	}
-	return -1
-}
-
-func (W256) MaskBelow(n int) W256 {
-	var out W256
-	if n <= 0 {
-		return out
-	}
-	if n > 256 {
-		n = 256
-	}
-	for k := 0; k < 4; k++ {
-		lo := k << 6
-		switch {
-		case n >= lo+64:
-			out[k] = ^uint64(0)
-		case n > lo:
-			out[k] = uint64(1)<<uint(n-lo) - 1
-		}
-	}
-	return out
-}
-
-func (W256) Size() int { return W256Lanes }

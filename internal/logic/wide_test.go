@@ -2,88 +2,52 @@ package logic
 
 import "testing"
 
-// checkLanes exercises every Lanes method against a scalar reference over
-// the word's full width.
-func checkLanes[W Lanes[W]](t *testing.T, name string) {
-	t.Helper()
-	var zero W
-	n := zero.Size()
-
-	ones := zero.Not()
-	for i := 0; i < n; i++ {
-		if ones.Get(i) != 1 {
-			t.Fatalf("%s: Not(zero) lane %d = 0, want 1", name, i)
-		}
-	}
-	if !zero.IsZero() || ones.IsZero() {
-		t.Fatalf("%s: IsZero wrong on zero/ones", name)
-	}
+// TestLanesW64 exercises the W64 lane helpers against a scalar reference
+// over all 64 lanes.
+func TestLanesW64(t *testing.T) {
+	var zero W64
 	if zero.LowestSet() != -1 {
-		t.Fatalf("%s: LowestSet(zero) = %d, want -1", name, zero.LowestSet())
+		t.Fatalf("LowestSet(zero) = %d, want -1", zero.LowestSet())
 	}
-	if ones.LowestSet() != 0 {
-		t.Fatalf("%s: LowestSet(ones) = %d, want 0", name, ones.LowestSet())
+	if ones := ^zero; ones.LowestSet() != 0 {
+		t.Fatalf("LowestSet(ones) = %d, want 0", ones.LowestSet())
 	}
 
-	// Two pseudo-random lane patterns built lane by lane.
-	var a, b W
-	abits := make([]uint8, n)
-	bbits := make([]uint8, n)
+	// A pseudo-random lane pattern built lane by lane.
+	var a W64
+	abits := make([]uint8, W64Lanes)
 	x := uint64(0x9e3779b97f4a7c15)
-	for i := 0; i < n; i++ {
+	for i := 0; i < W64Lanes; i++ {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
 		abits[i] = uint8(x & 1)
-		bbits[i] = uint8((x >> 1) & 1)
 		if abits[i] == 1 {
 			a = a.WithLane(i)
 		}
-		if bbits[i] == 1 {
-			b = b.WithLane(i)
-		}
 	}
-	for i := 0; i < n; i++ {
-		if a.Get(i) != abits[i] || b.Get(i) != bbits[i] {
-			t.Fatalf("%s: WithLane/Get mismatch at lane %d", name, i)
-		}
-		if got := a.And(b).Get(i); got != abits[i]&bbits[i] {
-			t.Fatalf("%s: And lane %d = %d", name, i, got)
-		}
-		if got := a.AndNot(b).Get(i); got != abits[i]&^bbits[i] {
-			t.Fatalf("%s: AndNot lane %d = %d", name, i, got)
-		}
-		if got := a.Or(b).Get(i); got != abits[i]|bbits[i] {
-			t.Fatalf("%s: Or lane %d = %d", name, i, got)
-		}
-		if got := a.Xor(b).Get(i); got != abits[i]^bbits[i] {
-			t.Fatalf("%s: Xor lane %d = %d", name, i, got)
-		}
-		if got := a.Not().Get(i); got != 1-abits[i] {
-			t.Fatalf("%s: Not lane %d = %d", name, i, got)
+	for i := 0; i < W64Lanes; i++ {
+		if a.Get(i) != abits[i] {
+			t.Fatalf("WithLane/Get mismatch at lane %d", i)
 		}
 	}
 
-	// LowestSet on a single high lane, and MaskBelow at every boundary.
-	for _, i := range []int{0, 1, n / 2, n - 1} {
-		w := zero.WithLane(i)
-		if got := w.LowestSet(); got != i {
-			t.Fatalf("%s: LowestSet(lane %d) = %d", name, i, got)
+	// LowestSet on a single high lane, and LanesBelow at every boundary.
+	for _, i := range []int{0, 1, 32, 63} {
+		if got := zero.WithLane(i).LowestSet(); got != i {
+			t.Fatalf("LowestSet(lane %d) = %d", i, got)
 		}
 	}
-	for _, cut := range []int{0, 1, 63, 64, 65, n - 1, n, n + 5} {
-		m := zero.MaskBelow(cut)
-		for i := 0; i < n; i++ {
+	for _, cut := range []int{-1, 0, 1, 63, 64, 65} {
+		m := LanesBelow(cut)
+		for i := 0; i < W64Lanes; i++ {
 			want := uint8(0)
 			if i < cut {
 				want = 1
 			}
 			if m.Get(i) != want {
-				t.Fatalf("%s: MaskBelow(%d) lane %d = %d, want %d", name, cut, i, m.Get(i), want)
+				t.Fatalf("LanesBelow(%d) lane %d = %d, want %d", cut, i, m.Get(i), want)
 			}
 		}
 	}
 }
-
-func TestLanesW64(t *testing.T)  { checkLanes[W64](t, "W64") }
-func TestLanesW256(t *testing.T) { checkLanes[W256](t, "W256") }

@@ -6,7 +6,6 @@ import (
 
 	"limscan/internal/bmark"
 	"limscan/internal/core"
-	"limscan/internal/fsim"
 )
 
 func TestWriteCampaignBody(t *testing.T) {
@@ -104,9 +103,10 @@ func TestWriteCampaignAllUntestable(t *testing.T) {
 	}
 }
 
-// TestWriteCampaignModeInvariant renders two real campaigns — one per
-// fault-simulation mode — and requires byte-identical reports: the mode
-// is an execution knob, and nothing it touches may leak into the
+// TestWriteCampaignModeInvariant renders a real campaign and requires
+// the report the all-fault-parallel simulator produced, byte for byte:
+// fsim now runs the campaign's TS0 session on the pattern-parallel
+// kernel, and nothing the kernel choice touches may leak into the
 // user-visible output.
 func TestWriteCampaignModeInvariant(t *testing.T) {
 	c, err := bmark.Load("s298")
@@ -114,23 +114,23 @@ func TestWriteCampaignModeInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.Config{LA: 10, LB: 5, N: 2, Seed: 32, ReseedPerTest: true}
-	var outs [2]string
-	for i, mode := range []fsim.Mode{fsim.FaultParallel, fsim.PatternParallel} {
-		mcfg := cfg
-		mcfg.Mode = mode
-		res, err := core.NewRunner(c).RunProcedure2(mcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sb strings.Builder
-		if err := WriteCampaign(&sb, c, res); err != nil {
-			t.Fatal(err)
-		}
-		outs[i] = sb.String()
+	res, err := core.NewRunner(c).RunProcedure2(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if outs[0] != outs[1] {
-		t.Errorf("campaign reports differ across fsim modes:\n--- fault-parallel ---\n%s\n--- pattern-parallel ---\n%s",
-			outs[0], outs[1])
+	var sb strings.Builder
+	if err := WriteCampaign(&sb, c, res); err != nil {
+		t.Fatal(err)
+	}
+	const want = `circuit s298: 3 PIs, 6 POs, 14 state variables
+parameters LA=10 LB=5 N=2 seed=32
+faults: 521 collapsed, 11 untestable, 0 aborted
+TS0: 442 detected, 100 cycles
+with limited scan: 14 pairs, 507 detected, 2812 cycles, ls=0.41
+coverage 99.41% (complete=false)
+`
+	if sb.String() != want {
+		t.Errorf("campaign report differs from the fault-parallel one:\n--- got ---\n%s\n--- want ---\n%s", sb.String(), want)
 	}
 }
 

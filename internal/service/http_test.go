@@ -143,7 +143,7 @@ func TestAPIConformance(t *testing.T) {
 		{"submit_malformed_json", "POST", "/v1/campaigns", `{"circuit":`, http.StatusBadRequest, "submit_malformed_json.json"},
 		{"submit_unknown_field", "POST", "/v1/campaigns", `{"circuit":"s27","bogus":1}`, http.StatusBadRequest, "submit_unknown_field.json"},
 		{"submit_unknown_circuit", "POST", "/v1/campaigns", `{"circuit":"no-such-bench"}`, http.StatusBadRequest, "submit_unknown_circuit.json"},
-		{"submit_bad_mode", "POST", "/v1/campaigns", `{"circuit":"s27","mode":"sideways"}`, http.StatusBadRequest, "submit_bad_mode.json"},
+		{"submit_bad_mode", "POST", "/v1/campaigns", `{"circuit":"s27","mode":"pattern-parallel"}`, http.StatusBadRequest, "submit_bad_mode.json"},
 		{"submit_trailing_garbage", "POST", "/v1/campaigns", `{"circuit":"s27"} {"again":true}`, http.StatusBadRequest, ""},
 		{"get_done", "GET", "/v1/campaigns/c000001", "", http.StatusOK, "get_done.json"},
 		{"get_canceled", "GET", "/v1/campaigns/c000002", "", http.StatusOK, "get_canceled.json"},

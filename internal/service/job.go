@@ -8,7 +8,6 @@ import (
 	"limscan/internal/circuit"
 	"limscan/internal/core"
 	"limscan/internal/errs"
-	"limscan/internal/fsim"
 	"limscan/internal/trace"
 )
 
@@ -30,10 +29,6 @@ type Spec struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// D1Descending selects the Table 7 schedule 10..1.
 	D1Descending bool `json:"d1_descending,omitempty"`
-	// Mode is the fault-simulation lane packing ("fault-parallel" or
-	// "pattern-parallel"); empty means fault-parallel. Result-neutral:
-	// the modes are byte-identical.
-	Mode string `json:"mode,omitempty"`
 	// Workers is the per-job fault-simulation worker count; zero defers
 	// to the service default. Result-neutral at any count.
 	Workers int `json:"workers,omitempty"`
@@ -69,16 +64,12 @@ func (sp Spec) resolve() (*circuit.Circuit, core.Config, error) {
 	if err != nil {
 		return nil, core.Config{}, errs.Wrap(errs.Input, err)
 	}
-	mode, err := fsim.ParseMode(modeOrDefault(sp.Mode))
-	if err != nil {
-		return nil, core.Config{}, errs.Wrap(errs.Input, err)
-	}
 	if sp.Workers < 0 {
 		return nil, core.Config{}, errs.Newf(errs.Input, "service: workers must be >= 0 (got %d)", sp.Workers)
 	}
 	cfg := core.Config{
 		LA: sp.LA, LB: sp.LB, N: sp.N, Seed: sp.Seed,
-		Mode: mode, Workers: sp.Workers,
+		Workers: sp.Workers,
 	}
 	if sp.D1Descending {
 		cfg.D1Order = core.DescendingD1()
@@ -87,13 +78,6 @@ func (sp Spec) resolve() (*circuit.Circuit, core.Config, error) {
 		return nil, core.Config{}, errs.Wrap(errs.Input, err)
 	}
 	return c, cfg, nil
-}
-
-func modeOrDefault(m string) string {
-	if m == "" {
-		return "fault-parallel"
-	}
-	return m
 }
 
 // State is a job's lifecycle position. Terminal states are done,

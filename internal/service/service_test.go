@@ -445,10 +445,9 @@ func TestLedgerRecords(t *testing.T) {
 func TestSubmitInputErrors(t *testing.T) {
 	s, _ := newTestService(t, nil)
 	for _, sp := range []Spec{
-		{},                           // no circuit
-		{Circuit: "no-such-bench"},   // unknown circuit
-		{Circuit: "s27", LA: -1},     // invalid config
-		{Circuit: "s27", Mode: "??"}, // bad mode
+		{},                         // no circuit
+		{Circuit: "no-such-bench"}, // unknown circuit
+		{Circuit: "s27", LA: -1},   // invalid config
 		{Circuit: "s27", Workers: -3},
 	} {
 		if _, _, err := s.Submit(sp); !errs.Is(err, errs.Input) {
@@ -460,8 +459,8 @@ func TestSubmitInputErrors(t *testing.T) {
 	}
 }
 
-// TestWorkersResultNeutralCache: specs that differ only in
-// result-neutral knobs (workers, mode) share one ParamsHash, so the
+// TestWorkersResultNeutralCache: specs that differ only in the
+// result-neutral worker count share one ParamsHash, so the
 // second submission is a cache hit — the cache-key soundness property
 // DESIGN.md §8 argues.
 func TestWorkersResultNeutralCache(t *testing.T) {
@@ -475,13 +474,12 @@ func TestWorkersResultNeutralCache(t *testing.T) {
 
 	b := a
 	b.Workers = 3
-	b.Mode = "pattern-parallel"
 	hit, _, err := s.Submit(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !hit.CacheHit {
-		t.Error("result-neutral knobs changed the cache key")
+		t.Error("the result-neutral worker count changed the cache key")
 	}
 	if hit.ParamsHash != v.ParamsHash {
 		t.Errorf("hashes differ: %s vs %s", hit.ParamsHash, v.ParamsHash)

@@ -406,8 +406,8 @@ func (r *Recorder) tracks() []*Track {
 
 // Model converts the recorder's current contents into the analyzer's
 // offline form — the same structure Parse builds from a trace file, so
-// in-process analysis (cmd/benchfsim) and file analysis (perf trace)
-// share one code path.
+// in-process consumers (the JSON export, the stitched fleet trace) and
+// file analysis (perf trace) share one code path.
 func (r *Recorder) Model() *Model {
 	if r == nil {
 		return &Model{}
