@@ -360,50 +360,6 @@ func BenchmarkBenchWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalEventSparse measures event-driven evaluation when one
-// input word changes per step (the sparse regime it is built for);
-// BenchmarkEvalFullSparse is full re-evaluation on the same workload.
-func BenchmarkEvalEventSparse(b *testing.B) {
-	c, err := bmark.Load("s1196")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ev := sim.NewEventEvaluator(c)
-	for i := 0; i < c.NumPI(); i++ {
-		ev.SetPI(i, uint64(i)*0x9E3779B97F4A7C15)
-	}
-	for i := 0; i < c.NumSV(); i++ {
-		ev.SetState(i, uint64(i)*0xBF58476D1CE4E5B9)
-	}
-	ev.Eval()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.SetPI(i%c.NumPI(), uint64(i)|1)
-		ev.Eval()
-	}
-}
-
-// BenchmarkEvalFullSparse is the full-evaluation counterpart of
-// BenchmarkEvalEventSparse.
-func BenchmarkEvalFullSparse(b *testing.B) {
-	c, err := bmark.Load("s1196")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ev := sim.NewEvaluator(c)
-	for i := 0; i < c.NumPI(); i++ {
-		ev.SetPI(i, uint64(i)*0x9E3779B97F4A7C15)
-	}
-	for i := 0; i < c.NumSV(); i++ {
-		ev.SetState(i, uint64(i)*0xBF58476D1CE4E5B9)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.SetPI(i%c.NumPI(), uint64(i)|1)
-		ev.Eval(nil)
-	}
-}
-
 // BenchmarkTransitionFsim measures transition-fault simulation of a full
 // session (dynamic per-cycle activation on top of the bit-parallel core).
 func BenchmarkTransitionFsim(b *testing.B) {

@@ -176,9 +176,8 @@ func main() {
 				Seed:        *seed,
 				Transition:  *trans,
 			},
-			Path:        *ckPath,
-			Every:       *ckEvery,
 			ChunkFaults: *ckChunk,
+			Checkpoint:  checkpoint.Options{Path: *ckPath, Every: *ckEvery},
 		}
 		var snap *checkpoint.Snapshot
 		if *resume {

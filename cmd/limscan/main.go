@@ -167,9 +167,9 @@ func main() {
 		fmt.Printf("searched %d combinations\n", out.Tried)
 	} else {
 		cfg := core.Config{LA: *la, LB: *lb, N: *n, Seed: *seed, D1Order: d1, Workers: *workers}
-		var ck *core.CheckpointOptions
+		var ck *checkpoint.Options
 		if *ckPath != "" {
-			ck = &core.CheckpointOptions{Path: *ckPath, Every: *ckEvery}
+			ck = &checkpoint.Options{Path: *ckPath, Every: *ckEvery}
 		}
 		var err error
 		if *resume {
@@ -182,7 +182,7 @@ func main() {
 			res, err = r.RunWithContext(ctx, cfg, ck)
 		}
 		if err != nil {
-			var ie *core.InterruptedError
+			var ie *checkpoint.InterruptedError
 			if errors.As(err, &ie) {
 				fmt.Fprintf(os.Stderr, "limscan: %v\n", ie)
 				if ie.Path != "" {

@@ -246,6 +246,21 @@ func DecodeStates(s string, n int) ([]fault.Status, error) {
 	return out, nil
 }
 
+// RestoreStates decodes the snapshot's fault statuses into st, which
+// must be the resuming run's fault-state slice: a snapshot of a
+// different fault count is refused.
+func (s *Snapshot) RestoreStates(st []fault.Status) error {
+	states, err := DecodeStates(s.States, s.NumFaults)
+	if err != nil {
+		return err
+	}
+	if len(states) != len(st) {
+		return fmt.Errorf("checkpoint: snapshot holds %d faults, this run has %d", len(states), len(st))
+	}
+	copy(st, states)
+	return nil
+}
+
 // Encode marshals the snapshot with its checksum and meta hash filled
 // in.
 func (s *Snapshot) Encode() ([]byte, error) {

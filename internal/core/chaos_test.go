@@ -17,6 +17,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -28,6 +29,7 @@ import (
 	"limscan/internal/circuit"
 	"limscan/internal/core"
 	"limscan/internal/errs"
+	"limscan/internal/fsim"
 	"limscan/internal/iofault"
 	"limscan/internal/obs"
 	"limscan/internal/report"
@@ -66,7 +68,7 @@ func campaignReport(t *testing.T, c *circuit.Circuit, res *core.Result) string {
 func straightReport(t *testing.T, c *circuit.Circuit, cfg core.Config) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "ck.json")
-	res, err := core.NewRunner(c).RunWithContext(context.Background(), cfg, &core.CheckpointOptions{Path: path})
+	res, err := core.NewRunner(c).RunWithContext(context.Background(), cfg, &checkpoint.Options{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestChaosCheckpointSweep(t *testing.T) {
 			counter := &iofault.Injector{Mode: mode}
 			path := filepath.Join(t.TempDir(), "ck.json")
 			res, err := core.NewRunner(c).RunWithContext(context.Background(), cfg,
-				&core.CheckpointOptions{Path: path, FS: counter, Retry: noSleep})
+				&checkpoint.Options{Path: path, FS: counter, Retry: noSleep})
 			if err != nil {
 				t.Fatalf("counting pass: %v", err)
 			}
@@ -156,7 +158,7 @@ func TestChaosCheckpointSweep(t *testing.T) {
 					inj := &iofault.Injector{Mode: mode, At: at}
 					path := filepath.Join(t.TempDir(), "ck.json")
 					res, err := core.NewRunner(c).RunWithContext(context.Background(), cfg,
-						&core.CheckpointOptions{Path: path, FS: inj, Retry: noSleep})
+						&checkpoint.Options{Path: path, FS: inj, Retry: noSleep})
 					if err != nil {
 						t.Fatalf("injected checkpoint fault aborted the campaign: %v", err)
 					}
@@ -196,7 +198,7 @@ func TestChaosPersistentDegradedCompletion(t *testing.T) {
 				}
 			}))
 			res, err := core.NewRunner(c).RunWithContext(context.Background(), cfgObs,
-				&core.CheckpointOptions{Path: path, FS: inj, Retry: noSleep})
+				&checkpoint.Options{Path: path, FS: inj, Retry: noSleep})
 			if err != nil {
 				t.Fatalf("persistent %s aborted the campaign: %v", mode, err)
 			}
@@ -218,4 +220,65 @@ func TestChaosPersistentDegradedCompletion(t *testing.T) {
 			checkSnapshotOutcome(t, c, cfg, path, want)
 		})
 	}
+}
+
+// TestChaosInterruptReportsOnDiskBoundary pins the interruption report
+// under degraded mode for both checkpointed runners: once the disk
+// breaks after the first snapshot, a cancellation's final flush fails
+// too, so the boundary the InterruptedError names must be the one the
+// file still holds — not the last boundary the run reached.
+func TestChaosInterruptReportsOnDiskBoundary(t *testing.T) {
+	c, cfg := chaosCircuit(t)
+
+	// interrupted runs one checkpointed run whose writes fail with EINTR
+	// from the second on, cancels it at the third degraded event, and
+	// checks the report against the file.
+	interrupted := func(t *testing.T, run func(ctx context.Context, o *obs.Campaign, ck checkpoint.Options) error) {
+		t.Helper()
+		ck := checkpoint.Options{
+			Path:  filepath.Join(t.TempDir(), "ck.json"),
+			FS:    &iofault.Injector{Mode: iofault.WriteEINTR, At: 2, Persistent: true},
+			Retry: noSleep,
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		degraded := 0
+		o := obs.New(nil, chaosSink(func(e obs.Event) {
+			if e.Kind == obs.KindDegraded {
+				if degraded++; degraded == 3 {
+					cancel()
+				}
+			}
+		}))
+		var ie *checkpoint.InterruptedError
+		if err := run(ctx, o, ck); !errors.As(err, &ie) {
+			t.Fatalf("run returned %v, want *checkpoint.InterruptedError", err)
+		}
+		snap, err := checkpoint.Load(ck.Path)
+		if err != nil {
+			t.Fatalf("on-disk snapshot unreadable: %v", err)
+		}
+		if ie.Iteration != snap.Iteration {
+			t.Errorf("InterruptedError.Iteration = %d, snapshot on disk is at boundary %d", ie.Iteration, snap.Iteration)
+		}
+	}
+
+	t.Run("campaign", func(t *testing.T) {
+		interrupted(t, func(ctx context.Context, o *obs.Campaign, ck checkpoint.Options) error {
+			cfgObs := cfg
+			cfgObs.Observer = o
+			_, err := core.NewRunner(c).RunWithContext(ctx, cfgObs, &ck)
+			return err
+		})
+	})
+	t.Run("faultsim", func(t *testing.T) {
+		interrupted(t, func(ctx context.Context, o *obs.Campaign, ck checkpoint.Options) error {
+			tests := core.GenerateTS0(c, cfg)
+			meta := checkpoint.Meta{Mode: checkpoint.ModeFaultSim, Circuit: c.Name,
+				CircuitHash: checkpoint.CircuitHash(c), PlanLen: c.NumSV(), N: len(tests), Seed: cfg.Seed}
+			_, err := fsim.New(c).RunCheckpointed(ctx, tests, core.NewRunner(c).NewFaultSet(), nil,
+				fsim.Options{Obs: o}, fsim.SessionCheckpoint{Meta: meta, ChunkFaults: 16, Checkpoint: ck})
+			return err
+		})
+	})
 }

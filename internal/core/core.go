@@ -497,7 +497,7 @@ func (r *Runner) RunProcedure2(cfg Config) (*Result, error) {
 // iteration I's schedule is a pure function of (Seed, I) and the fault
 // set at the iteration boundary, the continued run retraces exactly the
 // iterations the uninterrupted run would have executed.
-func (r *Runner) run(ctx context.Context, cfg Config, ck *CheckpointOptions, snap *checkpoint.Snapshot) (*Result, error) {
+func (r *Runner) run(ctx context.Context, cfg Config, ck *checkpoint.Options, snap *checkpoint.Snapshot) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -508,7 +508,15 @@ func (r *Runner) run(ctx context.Context, cfg Config, ck *CheckpointOptions, sna
 	res := &Result{Config: cfg, TotalFaults: len(fs.Faults)}
 	o.Emit(obs.Event{Kind: obs.KindCampaignStart, Circuit: r.c.Name, Faults: res.TotalFaults})
 	o.Counter("campaign_runs_total").Inc()
-	ckw := &checkpointWriter{opts: ck, o: o, tr: r.recorder(o), wroteIter: -1}
+	ckw := checkpoint.NewWriter(ck, o, r.recorder(o))
+	// boundary hands the writer the campaign state after res.Iterations
+	// completed iterations (0 = the TS0 phase).
+	var nSame int
+	boundary := func(force bool) error {
+		return ckw.Boundary(res.Iterations, force, func() *checkpoint.Snapshot {
+			return r.snapshot(cfg, res, fs, nSame)
+		})
+	}
 
 	// Step 2: generate TS0. On resume this regenerates the identical
 	// test set (it is a pure function of the configured seed) without
@@ -517,7 +525,7 @@ func (r *Runner) run(ctx context.Context, cfg Config, ck *CheckpointOptions, sna
 	ts0 := GenerateTS0WithPlan(r.c, r.plan, cfg)
 	span.End()
 
-	var running, nSame, startIter int
+	var running, startIter int
 	var selected [][]scan.Test
 	if snap == nil {
 		span = o.StartPhase("ts0_sim")
@@ -526,7 +534,7 @@ func (r *Runner) run(ctx context.Context, cfg Config, ck *CheckpointOptions, sna
 		if err != nil {
 			if ctx.Err() != nil {
 				// Nothing completed: no snapshot to flush.
-				return nil, &InterruptedError{Err: ctx.Err()}
+				return nil, &checkpoint.InterruptedError{Err: ctx.Err()}
 			}
 			return nil, err
 		}
@@ -546,7 +554,7 @@ func (r *Runner) run(ctx context.Context, cfg Config, ck *CheckpointOptions, sna
 		startIter = 1
 		// The TS0 boundary is always worth a snapshot: the simulation
 		// and classification above are the campaign's fixed cost.
-		if err := ckw.boundary(r, cfg, res, fs, nSame, true); err != nil {
+		if err := boundary(true); err != nil {
 			return nil, err
 		}
 	} else {
@@ -566,7 +574,7 @@ func (r *Runner) run(ctx context.Context, cfg Config, ck *CheckpointOptions, sna
 		span.End()
 		o.Counter("checkpoint_resumes_total").Inc()
 		o.Emit(obs.Event{Kind: obs.KindResumed, Circuit: r.c.Name, I: snap.Iteration, Detected: running})
-		ckw.last = snap
+		ckw.Resume(snap)
 	}
 	detectable := res.TotalFaults - res.Untestable
 	o.Gauge("campaign_faults_detectable").Set(float64(detectable))
@@ -598,7 +606,7 @@ func (r *Runner) run(ctx context.Context, cfg Config, ck *CheckpointOptions, sna
 	defer endSearch()
 	for iter := startIter; remaining() > 0 && iter <= cfg.MaxIterations && nSame < cfg.NSameFC; iter++ {
 		if err := ctx.Err(); err != nil {
-			return nil, ckw.interrupt(err)
+			return nil, ckw.Interrupt(err)
 		}
 		res.Iterations = iter
 		improved := false
@@ -621,13 +629,13 @@ func (r *Runner) run(ctx context.Context, cfg Config, ck *CheckpointOptions, sna
 			}
 			if err != nil {
 				if ctx.Err() != nil {
-					return nil, ckw.interrupt(ctx.Err())
+					return nil, ckw.Interrupt(ctx.Err())
 				}
 				if errs.Is(err, errs.InternalPanic) {
 					// A contained simulator panic aborts the campaign, but
 					// the last completed iteration boundary is still good:
 					// flush it so -resume can pick up there.
-					_ = ckw.flush()
+					_ = ckw.Flush()
 				}
 				return nil, err
 			}
@@ -674,7 +682,7 @@ func (r *Runner) run(ctx context.Context, cfg Config, ck *CheckpointOptions, sna
 		} else {
 			nSame++
 		}
-		if err := ckw.boundary(r, cfg, res, fs, nSame, false); err != nil {
+		if err := boundary(false); err != nil {
 			return nil, err
 		}
 	}
@@ -693,9 +701,9 @@ func (r *Runner) run(ctx context.Context, cfg Config, ck *CheckpointOptions, sna
 	})
 	// Leave the checkpoint file holding the final state: resuming a
 	// finished campaign reproduces its report without redoing work.
-	if err := ckw.boundary(r, cfg, res, fs, nSame, true); err != nil {
+	if err := boundary(true); err != nil {
 		return nil, err
 	}
-	res.CheckpointDegraded = ckw.degraded
+	res.CheckpointDegraded = ckw.Degraded()
 	return res, nil
 }

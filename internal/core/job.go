@@ -46,7 +46,7 @@ func JobParamsHash(c *circuit.Circuit, cfg Config) string {
 //
 // A nil ck (or empty Path) degenerates to RunWithContext without
 // checkpointing.
-func (r *Runner) RunJob(ctx context.Context, cfg Config, ck *CheckpointOptions) (res *Result, resumed bool, err error) {
+func (r *Runner) RunJob(ctx context.Context, cfg Config, ck *checkpoint.Options) (res *Result, resumed bool, err error) {
 	if ck == nil || ck.Path == "" {
 		res, err = r.RunWithContext(ctx, cfg, ck)
 		return res, false, err

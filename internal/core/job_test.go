@@ -22,7 +22,7 @@ func TestRunJobFresh(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "job.ck")
-	got, resumed, err := NewRunner(c).RunJob(context.Background(), cfg, &CheckpointOptions{Path: path})
+	got, resumed, err := NewRunner(c).RunJob(context.Background(), cfg, &checkpoint.Options{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestRunJobResumesInterrupted(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "job.ck")
-	ck := &CheckpointOptions{Path: path}
+	ck := &checkpoint.Options{Path: path}
 
 	// First attempt: cancel at the first checkpoint write, as a crash
 	// between iteration boundaries would.
@@ -61,7 +61,7 @@ func TestRunJobResumesInterrupted(t *testing.T) {
 	cfgHop.Observer = o
 	_, _, err = NewRunner(c).RunJob(ctx, cfgHop, ck)
 	cancel()
-	var ie *InterruptedError
+	var ie *checkpoint.InterruptedError
 	if !errors.As(err, &ie) {
 		t.Fatalf("interrupted first attempt returned %v", err)
 	}
@@ -103,7 +103,7 @@ func TestRunJobCorruptSnapshot(t *testing.T) {
 	}
 	o := obs.New(nil, nil)
 	cfg.Observer = o
-	got, resumed, err := NewRunner(c).RunJob(context.Background(), cfg, &CheckpointOptions{Path: path})
+	got, resumed, err := NewRunner(c).RunJob(context.Background(), cfg, &checkpoint.Options{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestRunJobForeignSnapshot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "job.ck")
 	other := resumeConfig(99) // different seed: different identity
 	if _, err := NewRunner(c).RunWithContext(context.Background(), other,
-		&CheckpointOptions{Path: path}); err != nil {
+		&checkpoint.Options{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -135,7 +135,7 @@ func TestRunJobForeignSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, resumed, err := NewRunner(c).RunJob(context.Background(), cfg, &CheckpointOptions{Path: path})
+	got, resumed, err := NewRunner(c).RunJob(context.Background(), cfg, &checkpoint.Options{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestRunJobFinishedSnapshot(t *testing.T) {
 	c := loadBmark(t, "s298")
 	cfg := resumeConfig(5)
 	path := filepath.Join(t.TempDir(), "job.ck")
-	ck := &CheckpointOptions{Path: path}
+	ck := &checkpoint.Options{Path: path}
 	want, _, err := NewRunner(c).RunJob(context.Background(), cfg, ck)
 	if err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ func TestCampaignPanicFlushesBoundary(t *testing.T) {
 			sawPanicWarning.Store(true)
 		}
 	}))
-	_, err = NewRunner(c).RunWithContext(context.Background(), cfgPanic, &CheckpointOptions{Path: path})
+	_, err = NewRunner(c).RunWithContext(context.Background(), cfgPanic, &checkpoint.Options{Path: path})
 	if err == nil {
 		t.Fatal("campaign with a panicking simulator returned nil error")
 	}

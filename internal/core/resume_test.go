@@ -89,13 +89,13 @@ func TestResumeEquivalenceChain(t *testing.T) {
 			// path itself is part of the straight run too.
 			straightPath := filepath.Join(t.TempDir(), "ck.json")
 			want, err := NewRunner(c).RunWithContext(context.Background(), cfg,
-				&CheckpointOptions{Path: straightPath})
+				&checkpoint.Options{Path: straightPath})
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			path := filepath.Join(t.TempDir(), "ck.json")
-			ck := &CheckpointOptions{Path: path}
+			ck := &checkpoint.Options{Path: path}
 			var snap *checkpoint.Snapshot
 			var got *Result
 			maxHops := want.Iterations + 4
@@ -121,7 +121,7 @@ func TestResumeEquivalenceChain(t *testing.T) {
 					got = res
 					break
 				}
-				var ie *InterruptedError
+				var ie *checkpoint.InterruptedError
 				if !errors.As(err, &ie) {
 					t.Fatalf("hop %d: %v", hops, err)
 				}
@@ -166,7 +166,7 @@ func TestResumeOfFinishedCampaign(t *testing.T) {
 	spec, _ := bmark.Info("s298")
 	cfg := resumeConfig(spec.Seed)
 	path := filepath.Join(t.TempDir(), "ck.json")
-	want, err := NewRunner(c).RunWithContext(context.Background(), cfg, &CheckpointOptions{Path: path})
+	want, err := NewRunner(c).RunWithContext(context.Background(), cfg, &checkpoint.Options{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestResumeMetaMismatch(t *testing.T) {
 	spec, _ := bmark.Info("s27")
 	cfg := resumeConfig(spec.Seed)
 	path := filepath.Join(t.TempDir(), "ck.json")
-	if _, err := NewRunner(c).RunWithContext(context.Background(), cfg, &CheckpointOptions{Path: path}); err != nil {
+	if _, err := NewRunner(c).RunWithContext(context.Background(), cfg, &checkpoint.Options{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := checkpoint.Load(path)
@@ -282,9 +282,9 @@ func TestRunWithContextUncheckpointed(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := NewRunner(c).RunWithContext(ctx, cfg, nil)
-	var ie *InterruptedError
+	var ie *checkpoint.InterruptedError
 	if !errors.As(err, &ie) {
-		t.Fatalf("err = %v, want *InterruptedError", err)
+		t.Fatalf("err = %v, want *checkpoint.InterruptedError", err)
 	}
 	if ie.Path != "" {
 		t.Errorf("Path = %q, want empty", ie.Path)
@@ -325,7 +325,7 @@ func TestCheckpointCadence(t *testing.T) {
 		}
 	}))
 	path := filepath.Join(t.TempDir(), "ck.json")
-	res, err := NewRunner(c).RunWithContext(context.Background(), cfg, &CheckpointOptions{Path: path, Every: 1000})
+	res, err := NewRunner(c).RunWithContext(context.Background(), cfg, &checkpoint.Options{Path: path, Every: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

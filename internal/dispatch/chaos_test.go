@@ -64,12 +64,14 @@ func baselineReport(t *testing.T, c *circuit.Circuit, cfg core.Config) string {
 
 // fleet is one chaos scenario's apparatus: a fake-clock coordinator
 // with its own metrics registry and a stop signal the workers watch.
+// workers counts the worker goroutines that idle on the clock.
 type fleet struct {
-	d    *Coordinator
-	clk  *fakeClock
-	reg  *obs.Registry
-	stop chan struct{}
-	wg   sync.WaitGroup
+	d       *Coordinator
+	clk     *fakeClock
+	reg     *obs.Registry
+	stop    chan struct{}
+	wg      sync.WaitGroup
+	workers int
 }
 
 func newFleet(t *testing.T, opts Options) *fleet {
@@ -87,6 +89,17 @@ func newFleet(t *testing.T, opts Options) *fleet {
 
 func (f *fleet) counter(name string) int64 { return f.reg.Counter(name).Value() }
 
+// idle parks a worker with nothing to lease on the fake clock until the
+// next step; it reports false once the fleet is stopping.
+func (f *fleet) idle() bool {
+	select {
+	case <-f.stop:
+		return false
+	case <-f.clk.After(time.Millisecond):
+		return true
+	}
+}
+
 // worker starts a fleet worker goroutine: lease, execute with a real
 // UnitRunner, complete. interfere is consulted with the running grant
 // count before execution; returning false abandons the unit (the
@@ -99,20 +112,18 @@ func (f *fleet) worker(t *testing.T, id string, interfere func(n int, g LeaseGra
 	if _, err := f.d.Register(id); err != nil {
 		t.Fatal(err)
 	}
+	f.workers++
 	f.wg.Add(1)
 	go func() {
 		defer f.wg.Done()
 		exec := &core.UnitRunner{}
 		n := 0
 		for {
-			select {
-			case <-f.stop:
-				return
-			default:
-			}
 			g, ok, err := f.d.Lease(id)
 			if err != nil || !ok {
-				time.Sleep(time.Millisecond)
+				if !f.idle() {
+					return
+				}
 				continue
 			}
 			n++
@@ -131,7 +142,8 @@ func (f *fleet) worker(t *testing.T, id string, interfere func(n int, g LeaseGra
 
 // runCampaign executes the distributed campaign on a background
 // goroutine while the test goroutine drives the fake clock forward
-// until it completes.
+// until it completes: time moves only while the run's pump and every
+// worker are parked on the clock.
 func (f *fleet) runCampaign(t *testing.T, c *circuit.Circuit, cfg core.Config) *core.Result {
 	t.Helper()
 	r := core.NewRunner(c)
@@ -143,7 +155,7 @@ func (f *fleet) runCampaign(t *testing.T, c *circuit.Circuit, cfg core.Config) *
 		res, err = r.RunProcedure2(cfg)
 		close(done)
 	}()
-	advanceUntil(t, f.clk, func() bool {
+	advanceUntil(t, f.clk, 1+f.workers, func() bool {
 		select {
 		case <-done:
 			return true
@@ -241,14 +253,11 @@ func TestChaosZombieAndDuplicate(t *testing.T) {
 		exec := &core.UnitRunner{}
 		zrec := trace.New()
 		for {
-			select {
-			case <-f.stop:
-				return
-			default:
-			}
 			g, ok, err := f.d.Lease("zombie")
 			if err != nil || !ok {
-				time.Sleep(time.Millisecond)
+				if !f.idle() {
+					return
+				}
 				continue
 			}
 			res, err := exec.Run(g.Spec)
@@ -286,7 +295,7 @@ func TestChaosZombieAndDuplicate(t *testing.T) {
 	// zombie *before* anyone else can touch the unit: its stale-epoch
 	// submission against the pending-again unit must bounce off the
 	// fence with Conflict.
-	advanceUntil(t, f.clk, func() bool {
+	advanceUntil(t, f.clk, 2, func() bool {
 		select {
 		case <-zombieHolds:
 			return true
@@ -294,12 +303,12 @@ func TestChaosZombieAndDuplicate(t *testing.T) {
 			return false
 		}
 	}, time.Second, 200*time.Hour)
-	advanceUntil(t, f.clk, func() bool { return f.counter("dispatch_expired_total") >= 1 },
+	advanceUntil(t, f.clk, 1, func() bool { return f.counter("dispatch_expired_total") >= 1 },
 		10*time.Second, 200*time.Hour)
 	close(zombieGo)
 
 	var zerr error
-	advanceUntil(t, f.clk, func() bool {
+	advanceUntil(t, f.clk, 1, func() bool {
 		select {
 		case zerr = <-zombieDone:
 			return true
@@ -321,14 +330,11 @@ func TestChaosZombieAndDuplicate(t *testing.T) {
 		exec := &core.UnitRunner{}
 		hrec := trace.New()
 		for {
-			select {
-			case <-f.stop:
-				return
-			default:
-			}
 			g, ok, err := f.d.Lease("healthy")
 			if err != nil || !ok {
-				time.Sleep(time.Millisecond)
+				if !f.idle() {
+					return
+				}
 				continue
 			}
 			res, err := exec.Run(g.Spec)
@@ -348,7 +354,7 @@ func TestChaosZombieAndDuplicate(t *testing.T) {
 	}()
 
 	// The campaign completes under the healthy worker regardless.
-	advanceUntil(t, f.clk, func() bool {
+	advanceUntil(t, f.clk, 2, func() bool {
 		select {
 		case <-done:
 			return true
@@ -485,10 +491,10 @@ func TestChaosCoordinatorRestart(t *testing.T) {
 	var runErr error
 	done := make(chan struct{})
 	go func() {
-		_, runErr = r1.RunWithContext(ctx, cfg1, &core.CheckpointOptions{Path: path})
+		_, runErr = r1.RunWithContext(ctx, cfg1, &checkpoint.Options{Path: path})
 		close(done)
 	}()
-	advanceUntil(t, f1.clk, func() bool {
+	advanceUntil(t, f1.clk, 1+f1.workers, func() bool {
 		select {
 		case <-done:
 			return true
@@ -496,7 +502,7 @@ func TestChaosCoordinatorRestart(t *testing.T) {
 			return false
 		}
 	}, 2*time.Second, 200*time.Hour)
-	var interrupted *core.InterruptedError
+	var interrupted *checkpoint.InterruptedError
 	if !errors.As(runErr, &interrupted) {
 		t.Fatalf("phase 1 returned %v, want InterruptedError", runErr)
 	}
@@ -518,7 +524,7 @@ func TestChaosCoordinatorRestart(t *testing.T) {
 		res, err = r2.ResumeWithContext(context.Background(), cfg, snap, nil)
 		close(done2)
 	}()
-	advanceUntil(t, f2.clk, func() bool {
+	advanceUntil(t, f2.clk, 1+f2.workers, func() bool {
 		select {
 		case <-done2:
 			return true

@@ -567,6 +567,9 @@ func (d *Coordinator) RunUnitsTraced(ctx context.Context, units []core.UnitSpec,
 	default:
 	}
 
+	// tick is the pending pump deadline. A wake-up keeps it rather than
+	// arming a new one, so the loop holds at most one timer at a time.
+	var tick <-chan time.Time
 	for {
 		done, locals := d.pump()
 		if done {
@@ -593,11 +596,15 @@ func (d *Coordinator) RunUnitsTraced(ctx context.Context, units []core.UnitSpec,
 			// immediately rather than sleeping.
 			continue
 		}
+		if tick == nil {
+			tick = d.clk.After(d.opts.Tick)
+		}
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		case <-d.wake:
-		case <-d.clk.After(d.opts.Tick):
+		case <-tick:
+			tick = nil
 		}
 	}
 }

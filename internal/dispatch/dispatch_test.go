@@ -28,7 +28,8 @@ func synthResult(key string) *core.UnitResult {
 }
 
 // harness runs RunUnits on a background goroutine and hands the test
-// the coordinator plus a done channel carrying the outcome.
+// the coordinator plus a done channel carrying the outcome. The run's
+// pump is the one goroutine the fake clock drives.
 type harness struct {
 	d    *Coordinator
 	clk  *fakeClock
@@ -41,13 +42,20 @@ type runOutcome struct {
 	err     error
 }
 
-func newHarness(t *testing.T, opts Options, units []core.UnitSpec, local func(core.UnitSpec) (*core.UnitResult, error)) *harness {
+// newHarness registers workers before the run starts, so its first pump
+// already counts them live.
+func newHarness(t *testing.T, opts Options, units []core.UnitSpec, local func(core.UnitSpec) (*core.UnitResult, error), workers ...string) *harness {
 	t.Helper()
 	clk := newFakeClock()
 	reg := obs.NewRegistry()
 	opts.Clock = clk
 	opts.Obs = obs.New(reg, nil)
 	h := &harness{d: New(opts), clk: clk, reg: reg, done: make(chan runOutcome, 1)}
+	for _, w := range workers {
+		if _, err := h.d.Register(w); err != nil {
+			t.Fatal(err)
+		}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	if local == nil {
@@ -63,7 +71,7 @@ func newHarness(t *testing.T, opts Options, units []core.UnitSpec, local func(co
 func (h *harness) wait(t *testing.T) runOutcome {
 	t.Helper()
 	var out runOutcome
-	advanceUntil(t, h.clk, func() bool {
+	advanceUntil(t, h.clk, 1, func() bool {
 		select {
 		case out = <-h.done:
 			return true
@@ -81,7 +89,7 @@ func (h *harness) counter(name string) int64 { return h.reg.Counter(name).Value(
 func mustLease(t *testing.T, h *harness, worker string) LeaseGrant {
 	t.Helper()
 	var g LeaseGrant
-	advanceUntil(t, h.clk, func() bool {
+	advanceUntil(t, h.clk, 1, func() bool {
 		grant, ok, err := h.d.Lease(worker)
 		if err != nil {
 			t.Fatalf("lease: %v", err)
@@ -97,10 +105,7 @@ func mustLease(t *testing.T, h *harness, worker string) LeaseGrant {
 // TestLeaseCompleteHappyPath: one worker drains every unit; results come
 // back in unit order regardless of completion order.
 func TestLeaseCompleteHappyPath(t *testing.T) {
-	h := newHarness(t, Options{}, synthUnits(3), nil)
-	if _, err := h.d.Register("w1"); err != nil {
-		t.Fatal(err)
-	}
+	h := newHarness(t, Options{}, synthUnits(3), nil, "w1")
 	var grants []LeaseGrant
 	for i := 0; i < 3; i++ {
 		grants = append(grants, mustLease(t, h, "w1"))
@@ -139,13 +144,12 @@ func TestLeaseCompleteHappyPath(t *testing.T) {
 // result and heartbeat are rejected with Conflict and counted as
 // fenced.
 func TestExpiryFencesZombie(t *testing.T) {
-	h := newHarness(t, Options{LeaseTTL: time.Second, BackoffBase: 100 * time.Millisecond}, synthUnits(1), nil)
-	h.d.Register("zombie")
-	h.d.Register("healthy")
+	h := newHarness(t, Options{LeaseTTL: time.Second, BackoffBase: 100 * time.Millisecond}, synthUnits(1), nil,
+		"zombie", "healthy")
 	g := mustLease(t, h, "zombie")
 
 	// Let the lease rot. The pump reaps it and bumps the epoch.
-	advanceUntil(t, h.clk, func() bool { return h.counter("dispatch_expired_total") == 1 },
+	advanceUntil(t, h.clk, 1, func() bool { return h.counter("dispatch_expired_total") == 1 },
 		100*time.Millisecond, time.Hour)
 
 	// The zombie's heartbeat now bounces.
@@ -159,13 +163,14 @@ func TestExpiryFencesZombie(t *testing.T) {
 	if g2.Epoch <= g.Epoch {
 		t.Fatalf("re-grant epoch %d not above original %d", g2.Epoch, g.Epoch)
 	}
-	if acc, err := h.d.Complete("healthy", g2.Spec.Key, g2.Epoch, synthResult(g2.Spec.Key)); err != nil || !acc {
-		t.Fatalf("healthy complete: accepted=%v err=%v", acc, err)
-	}
-
-	// The zombie's late result is fenced.
+	// The zombie's late result is fenced. It is submitted while the
+	// re-granted lease is still open: once the healthy result lands the
+	// run may end and forget the unit.
 	if _, err := h.d.Complete("zombie", g.Spec.Key, g.Epoch, synthResult(g.Spec.Key)); !errs.Is(err, errs.Conflict) {
 		t.Fatalf("zombie result: %v, want Conflict", err)
+	}
+	if acc, err := h.d.Complete("healthy", g2.Spec.Key, g2.Epoch, synthResult(g2.Spec.Key)); err != nil || !acc {
+		t.Fatalf("healthy complete: accepted=%v err=%v", acc, err)
 	}
 	if n := h.counter("dispatch_fenced_total"); n < 1 {
 		t.Errorf("fenced_total = %d, want >= 1", n)
@@ -180,12 +185,11 @@ func TestExpiryFencesZombie(t *testing.T) {
 // TestHeartbeatExtendsLease: regular heartbeats keep a lease alive far
 // past its original TTL.
 func TestHeartbeatExtendsLease(t *testing.T) {
-	h := newHarness(t, Options{LeaseTTL: time.Second}, synthUnits(1), nil)
-	h.d.Register("w1")
+	h := newHarness(t, Options{LeaseTTL: time.Second}, synthUnits(1), nil, "w1")
 	g := mustLease(t, h, "w1")
 	for i := 0; i < 10; i++ {
+		h.clk.BlockUntil(1) // the pump has observed the previous now
 		h.clk.Advance(500 * time.Millisecond)
-		time.Sleep(time.Millisecond) // let the pump observe the new now
 		if err := h.d.Heartbeat("w1", g.Spec.Key, g.Epoch); err != nil {
 			t.Fatalf("heartbeat %d: %v", i, err)
 		}
@@ -204,8 +208,7 @@ func TestHeartbeatExtendsLease(t *testing.T) {
 // TestDuplicateDeliveryIsIdempotent: redelivering an accepted result is
 // acknowledged (no error) but not re-applied, and counted.
 func TestDuplicateDeliveryIsIdempotent(t *testing.T) {
-	h := newHarness(t, Options{}, synthUnits(2), nil)
-	h.d.Register("w1")
+	h := newHarness(t, Options{}, synthUnits(2), nil, "w1")
 	g := mustLease(t, h, "w1")
 	if acc, err := h.d.Complete("w1", g.Spec.Key, g.Epoch, synthResult(g.Spec.Key)); err != nil || !acc {
 		t.Fatalf("first delivery: accepted=%v err=%v", acc, err)
@@ -260,11 +263,10 @@ func TestMaxAttemptsFallsBackLocally(t *testing.T) {
 		LeaseTTL: time.Second, MaxAttempts: 2,
 		BackoffBase: 100 * time.Millisecond, BackoffMax: 200 * time.Millisecond,
 		WorkerTTL: time.Hour, // the crashy worker stays "live" to keep the fleet path open
-	}, synthUnits(1), nil)
-	h.d.Register("crashy")
+	}, synthUnits(1), nil, "crashy")
 	for i := 0; i < 2; i++ {
 		mustLease(t, h, "crashy") // lease and abandon
-		advanceUntil(t, h.clk, func() bool { return h.counter("dispatch_expired_total") == int64(i+1) },
+		advanceUntil(t, h.clk, 1, func() bool { return h.counter("dispatch_expired_total") == int64(i+1) },
 			100*time.Millisecond, time.Hour)
 	}
 	out := h.wait(t)
@@ -290,11 +292,10 @@ func TestWorkerLostAndRejoin(t *testing.T) {
 			<-blockLocal
 			unitsDone <- struct{}{}
 			return synthResult(spec.Key), nil
-		})
-	h.d.Register("flaky")
+		}, "flaky")
 	// Silence: the worker never leases. Once it crosses the horizon the
 	// coordinator declares it lost and the unit goes local.
-	advanceUntil(t, h.clk, func() bool { return h.counter("dispatch_workers_lost_total") == 1 },
+	advanceUntil(t, h.clk, 1, func() bool { return h.counter("dispatch_workers_lost_total") == 1 },
 		200*time.Millisecond, time.Hour)
 	close(blockLocal)
 	out := h.wait(t)
@@ -322,7 +323,7 @@ func TestRunUnitsCancellation(t *testing.T) {
 	}()
 	// Lease one unit so the set is visibly active, then cancel.
 	var g LeaseGrant
-	advanceUntil(t, clk, func() bool {
+	advanceUntil(t, clk, 1, func() bool {
 		grant, ok, _ := d.Lease("w1")
 		if ok {
 			g = grant
@@ -331,7 +332,7 @@ func TestRunUnitsCancellation(t *testing.T) {
 	}, 50*time.Millisecond, time.Hour)
 	cancel()
 	var err error
-	advanceUntil(t, clk, func() bool {
+	advanceUntil(t, clk, 1, func() bool {
 		select {
 		case err = <-done:
 			return true
@@ -354,17 +355,9 @@ func TestSecondRunUnitsRejected(t *testing.T) {
 	d.Register("w1") // keep units pending (live worker, no local fallback)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	started := make(chan struct{})
-	go func() {
-		close(started)
-		d.RunUnits(ctx, synthUnits(1), nil)
-	}()
-	<-started
-	var second error
-	advanceUntil(t, clk, func() bool {
-		_, second = d.RunUnits(context.Background(), synthUnits(1), nil)
-		return second != nil
-	}, 10*time.Millisecond, time.Hour)
+	go d.RunUnits(ctx, synthUnits(1), nil)
+	clk.BlockUntil(1) // the first set is active and its pump parked
+	_, second := d.RunUnits(context.Background(), synthUnits(1), nil)
 	if second == nil {
 		t.Fatal("second RunUnits accepted")
 	}

@@ -53,9 +53,6 @@ type Options struct {
 	// order, RunStats and the fault set are byte-identical at any worker
 	// count (see TestParallelMatchesSerialBmarks).
 	Workers int
-	// NoEarlyExit disables stopping a batch once every fault in it has
-	// been detected (for ablation benchmarks).
-	NoEarlyExit bool
 	// MISRDegree switches detection from exact stream comparison to
 	// hardware-faithful signature compaction: every observed value is
 	// fed into a multiple-input signature register of this degree, and a
@@ -537,7 +534,7 @@ func (s *Simulator) reset() {
 // shared mergeBatch fold keeps the kernels byte-identical.
 func (s *Simulator) simBatch(pw *ppWorker, tests []scan.Test, faults []fault.Fault, batch []int, opts Options, sites *[numSites]logic.Word) logic.Word {
 	if pw != nil {
-		return pw.runBatch(faults, batch, opts, sites)
+		return pw.runBatch(faults, batch, sites)
 	}
 	return s.runBatch(tests, faults, batch, opts, sites)
 }
@@ -578,7 +575,7 @@ func (s *Simulator) runBatch(tests []scan.Test, faults []fault.Fault, batch []in
 	done := func() bool {
 		// Under compaction the verdict exists only once the whole
 		// session has been absorbed.
-		return compactor == nil && !opts.NoEarlyExit && detected&batchMask == batchMask
+		return compactor == nil && detected&batchMask == batchMask
 	}
 
 	m := s.plan.Len()

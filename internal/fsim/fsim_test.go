@@ -184,26 +184,6 @@ func TestPackingWidthsAgree(t *testing.T) {
 	}
 }
 
-func TestEarlyExitAgrees(t *testing.T) {
-	c := s27(t)
-	reps, _ := fault.Collapse(c, fault.Universe(c))
-	tests := randomTests(c, 6, 8, true, 9)
-	a := fault.NewSet(reps)
-	b := fault.NewSet(reps)
-	s := New(c)
-	if _, err := s.Run(tests, a, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(tests, b, Options{NoEarlyExit: true}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range reps {
-		if a.State[i] != b.State[i] {
-			t.Errorf("early-exit changed verdict for %s", reps[i].Pretty(c))
-		}
-	}
-}
-
 func TestDroppedFaultsSkipped(t *testing.T) {
 	c := s27(t)
 	reps, _ := fault.Collapse(c, fault.Universe(c))

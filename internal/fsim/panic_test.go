@@ -151,9 +151,9 @@ func TestCheckpointedPanicFlushesLastChunk(t *testing.T) {
 	tests := randomTests(c, 3, 4, true, 42)
 	ck := SessionCheckpoint{
 		Meta:        sessionMeta(c, tests, 42),
-		Path:        filepath.Join(t.TempDir(), "ck.json"),
 		ChunkFaults: 16,
-		Every:       1000, // cadence never writes; only the panic flush does
+		// The cadence never writes; only the panic flush does.
+		Checkpoint: checkpoint.Options{Path: filepath.Join(t.TempDir(), "ck.json"), Every: 1000},
 	}
 	straight, straightStates, err := runChunked(t, c, reps, tests, ck, nil, obs.New(nil, nil), context.Background())
 	if err != nil {
@@ -162,13 +162,13 @@ func TestCheckpointedPanicFlushesLastChunk(t *testing.T) {
 
 	// Chunks of 16 faults fit one batch each, so the hook fires once per
 	// chunk: tripping on call 4 lets chunks 1-3 complete first.
-	ck.Path = filepath.Join(t.TempDir(), "ck.json")
+	ck.Checkpoint.Path = filepath.Join(t.TempDir(), "ck.json")
 	armHook(t, 4, "mid-session panic")
 	_, _, err = runChunked(t, c, reps, tests, ck, nil, obs.New(nil, nil), context.Background())
 	if !errs.Is(err, errs.InternalPanic) {
 		t.Fatalf("panicked session error %v does not match errs.InternalPanic", err)
 	}
-	snap, err := checkpoint.Load(ck.Path)
+	snap, err := checkpoint.Load(ck.Checkpoint.Path)
 	if err != nil {
 		t.Fatalf("no flushed snapshot after panic: %v", err)
 	}

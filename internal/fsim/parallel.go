@@ -157,7 +157,7 @@ func (s *Simulator) runSharded(tests []scan.Test, fs *fault.Set, rem []int, per,
 					bs = tr.Now()
 				}
 				if pw != nil {
-					out[bi].det = pw.runBatch(fs.Faults, rem[lo:hi], opts, sites)
+					out[bi].det = pw.runBatch(fs.Faults, rem[lo:hi], sites)
 				} else {
 					out[bi].det = ws.runBatch(tests, fs.Faults, rem[lo:hi], opts, sites)
 				}

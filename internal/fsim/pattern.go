@@ -433,9 +433,9 @@ func (w *ppWorker) traceFor(gi int) *ppTrace {
 // pattern lanes, and assembles the identical detection mask and per-site
 // first-divergence masks the fault-parallel runBatch publishes — so the
 // shared mergeBatch fold downstream cannot tell the kernels apart.
-func (w *ppWorker) runBatch(faults []fault.Fault, batch []int, opts Options, sites *[numSites]logic.Word) logic.Word {
+func (w *ppWorker) runBatch(faults []fault.Fault, batch []int, sites *[numSites]logic.Word) logic.Word {
 	var det logic.Word
-	w.stopEarly = sites == nil && !opts.NoEarlyExit
+	w.stopEarly = sites == nil
 	for j, fi := range batch {
 		f := w.classify(faults[fi])
 		var firstDiv logic.W64
@@ -454,9 +454,7 @@ func (w *ppWorker) runBatch(faults []fault.Fault, batch []int, opts Options, sit
 				// test-contiguous in the fault-parallel session).
 				got = true
 				firstDiv, firstSite = w.diverged, w.siteFirst
-				if !opts.NoEarlyExit {
-					break
-				}
+				break
 			}
 		}
 		if !got {

@@ -137,26 +137,6 @@ func TestParallelPatternOddCounts(t *testing.T) {
 	}
 }
 
-// TestParallelPatternNoEarlyExit pins the ablation path: with early exit
-// disabled both kernels still agree (the pattern-parallel kernel must keep
-// the first diverged group's verdict even though it sweeps them all).
-func TestParallelPatternNoEarlyExit(t *testing.T) {
-	c, err := bmark.Load("s344")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reps, _ := fault.Collapse(c, fault.Universe(c))
-	tests := randomTests(c, 70, 3, true, 17)
-	fp, pp := fp1, pp1
-	fp.NoEarlyExit, pp.NoEarlyExit = true, true
-	base, baseStates := runSession(t, c, reps, tests, fp)
-	stats, states := runSession(t, c, reps, tests, pp)
-	if stats != base {
-		t.Errorf("NoEarlyExit stats = %+v, want %+v", stats, base)
-	}
-	diffStates(t, c, reps, "no-early-exit", states, baseStates)
-}
-
 // TestParallelPatternZeroTests covers the empty-session corner: the
 // fault-parallel kernel still scans out the reset state (so a stuck-at-1
 // flip-flop output is detectable with zero tests), and the

@@ -3,15 +3,12 @@ package fsim
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"limscan/internal/checkpoint"
 	"limscan/internal/errs"
 	"limscan/internal/fault"
-	"limscan/internal/iofault"
 	"limscan/internal/obs"
 	"limscan/internal/scan"
-	"limscan/internal/trace"
 )
 
 // Checkpointed sessions.
@@ -29,9 +26,6 @@ import (
 type SessionCheckpoint struct {
 	// Meta identifies the run; a resume snapshot must match it exactly.
 	Meta checkpoint.Meta
-	// Path is the snapshot file, rewritten atomically at chunk
-	// boundaries. Empty disables writing (cancellation still works).
-	Path string
 	// ChunkFaults is the number of consecutive faults per chunk. Zero
 	// means 16 batches' worth (16 * LanesPerWord). Chunks that are not
 	// a multiple of the pass width change batch packing (and the
@@ -40,15 +34,10 @@ type SessionCheckpoint struct {
 	// field: the stored chunk cursor only means anything under the
 	// geometry it was written with.
 	ChunkFaults int
-	// Every writes a snapshot after every Every-th completed chunk.
-	// Zero means 1. The final chunk is always flushed.
-	Every int
-	// FS routes the snapshot I/O; nil means the real filesystem. Chaos
-	// tests substitute an iofault.Injector here.
-	FS iofault.FS
-	// Retry overrides the transient-failure retry policy for snapshot
-	// writes; nil means the iofault defaults.
-	Retry *iofault.Retry
+	// Checkpoint is the write policy. Boundaries are completed chunks;
+	// the last chunk is always written. An empty Path disables writing
+	// (cancellation still works).
+	Checkpoint checkpoint.Options
 }
 
 // RunCheckpointed simulates the session in fault chunks with periodic
@@ -72,27 +61,16 @@ func (s *Simulator) RunCheckpointed(ctx context.Context, tests []scan.Test, fs *
 	if chunk < 1 {
 		return RunStats{}, fmt.Errorf("fsim: ChunkFaults must be >= 1 (got %d)", chunk)
 	}
-	every := ck.Every
-	if every < 1 {
-		every = 1
-	}
 	n := len(fs.Faults)
 	nchunks := (n + chunk - 1) / chunk
 	stats := RunStats{Cycles: s.cost.SessionCycles(tests)}
 	o := opts.Obs
+	w := checkpoint.NewWriter(&ck.Checkpoint, o, opts.Trace)
 
 	start := 0
-	var last *checkpoint.Snapshot
 	if resume != nil {
 		if err := resume.CheckMeta(ck.Meta); err != nil {
 			return stats, err
-		}
-		states, err := checkpoint.DecodeStates(resume.States, resume.NumFaults)
-		if err != nil {
-			return stats, err
-		}
-		if len(states) != n {
-			return stats, fmt.Errorf("fsim: snapshot holds %d faults, session has %d", len(states), n)
 		}
 		if resume.ChunkFaults > 0 {
 			chunk = resume.ChunkFaults
@@ -101,91 +79,44 @@ func (s *Simulator) RunCheckpointed(ctx context.Context, tests []scan.Test, fs *
 		if resume.Iteration > nchunks {
 			return stats, fmt.Errorf("fsim: snapshot chunk cursor %d exceeds the session's %d chunks", resume.Iteration, nchunks)
 		}
-		copy(fs.State, states)
+		if err := resume.RestoreStates(fs.State); err != nil {
+			return stats, err
+		}
 		stats.Detected = resume.Detected
 		stats.Batches = resume.Batches
 		stats.DetectedAtPO = resume.SitePO
 		stats.DetectedAtLimitedScan = resume.SiteLimitedScan
 		stats.DetectedAtScanOut = resume.SiteScanOut
 		start = resume.Iteration
-		last = resume
+		w.Resume(resume)
 		o.Counter("checkpoint_resumes_total").Inc()
 		o.Emit(obs.Event{Kind: obs.KindResumed, Circuit: s.c.Name, I: start, Detected: stats.Detected})
 	}
 
-	// snap captures the boundary after `done` completed chunks. The
-	// encoding happens here, at the boundary, so a later mid-chunk
-	// cancellation cannot leak partially simulated states into it.
-	snap := func(done int) *checkpoint.Snapshot {
-		return &checkpoint.Snapshot{
-			Version:         checkpoint.Version,
-			Meta:            ck.Meta,
-			Iteration:       done,
-			ChunkFaults:     chunk,
-			Detected:        stats.Detected,
-			Batches:         stats.Batches,
-			TotalCycles:     stats.Cycles,
-			SitePO:          stats.DetectedAtPO,
-			SiteLimitedScan: stats.DetectedAtLimitedScan,
-			SiteScanOut:     stats.DetectedAtScanOut,
-			NumFaults:       n,
-			States:          checkpoint.EncodeStates(fs.State),
-		}
-	}
-	// write flushes a boundary snapshot. A write that still fails after
-	// the retry budget degrades the session instead of aborting it:
-	// checkpointing is observational, so the simulation keeps going and
-	// the next boundary tries again (see checkpointWriter in
-	// internal/core for the full rationale).
-	degraded := false
-	failures := 0
-	write := func(sn *checkpoint.Snapshot) error {
-		if ck.Path == "" || sn == nil {
-			return nil
-		}
-		t0 := time.Now()
-		size, err := checkpoint.SaveFS(ck.FS, ck.Path, sn, ck.Retry)
-		if tr := opts.Trace; tr != nil {
-			tr.Track(trace.MainTrack).Add(trace.CatCheckpoint, trace.SpanCheckpoint,
-				tr.Rel(t0), time.Since(t0), trace.KV{K: "bytes", V: int64(size)})
-		}
-		if err != nil {
-			if errs.Is(err, errs.TransientIO) {
-				degraded = true
-				failures++
-				o.Counter("checkpoint_write_failures_total").Inc()
-				o.Gauge("checkpoint_degraded").Set(1)
-				o.Emit(obs.Event{Kind: obs.KindDegraded, N: failures,
-					Msg: fmt.Sprintf("checkpoint write failed after retries (session continues; on-disk snapshot is stale): %v", err)})
-				return nil
+	// boundary hands the writer the session state after `done`
+	// completed chunks.
+	boundary := func(done int, force bool) error {
+		return w.Boundary(done, force, func() *checkpoint.Snapshot {
+			return &checkpoint.Snapshot{
+				Version:         checkpoint.Version,
+				Meta:            ck.Meta,
+				Iteration:       done,
+				ChunkFaults:     chunk,
+				Detected:        stats.Detected,
+				Batches:         stats.Batches,
+				TotalCycles:     stats.Cycles,
+				SitePO:          stats.DetectedAtPO,
+				SiteLimitedScan: stats.DetectedAtLimitedScan,
+				SiteScanOut:     stats.DetectedAtScanOut,
+				NumFaults:       n,
+				States:          checkpoint.EncodeStates(fs.State),
 			}
-			return fmt.Errorf("fsim: checkpoint: %w", err)
-		}
-		if degraded {
-			degraded = false
-			failures = 0
-			o.Gauge("checkpoint_degraded").Set(0)
-			o.Emit(obs.Event{Kind: obs.KindWarning,
-				Msg: fmt.Sprintf("checkpoint writes recovered at chunk %d; snapshot is fresh again", sn.Iteration)})
-		}
-		o.Counter("checkpoint_writes_total").Inc()
-		o.Histogram("checkpoint_bytes", 1<<10, 1<<12, 1<<14, 1<<16, 1<<18, 1<<20, 1<<22).Observe(float64(size))
-		o.Histogram("checkpoint_write_seconds").Observe(time.Since(t0).Seconds())
-		o.Emit(obs.Event{Kind: obs.KindCheckpoint, I: sn.Iteration, N: size})
-		return nil
-	}
-	interrupt := func(cause error) error {
-		_ = write(last)
-		ie := &checkpoint.InterruptedError{Path: ck.Path, Err: cause}
-		if last != nil {
-			ie.Iteration = last.Iteration
-		}
-		return ie
+		})
 	}
 
 	for ci := start; ci < nchunks; ci++ {
 		if err := ctx.Err(); err != nil {
-			return stats, interrupt(err)
+			return stats, w.Interrupt(err)
 		}
 		lo := ci * chunk
 		hi := lo + chunk
@@ -198,13 +129,13 @@ func (s *Simulator) RunCheckpointed(ctx context.Context, tests []scan.Test, fs *
 		st, err := s.Run(tests, sub, opts)
 		if err != nil {
 			if ctx.Err() != nil {
-				return stats, interrupt(ctx.Err())
+				return stats, w.Interrupt(ctx.Err())
 			}
 			if errs.Is(err, errs.InternalPanic) {
 				// A contained panic aborts the session, but the last
 				// completed chunk boundary is still good: flush it so a
 				// resume can pick up there.
-				_ = write(last)
+				_ = w.Flush()
 			}
 			return stats, err
 		}
@@ -213,20 +144,17 @@ func (s *Simulator) RunCheckpointed(ctx context.Context, tests []scan.Test, fs *
 		stats.DetectedAtPO += st.DetectedAtPO
 		stats.DetectedAtLimitedScan += st.DetectedAtLimitedScan
 		stats.DetectedAtScanOut += st.DetectedAtScanOut
-		last = snap(ci + 1)
-		if (ci+1-start)%every == 0 || ci+1 == nchunks {
-			if err := write(last); err != nil {
-				return stats, err
-			}
+		if err := boundary(ci+1, ci+1 == nchunks); err != nil {
+			return stats, err
 		}
 	}
 	// An empty fault list never enters the loop; still leave a valid
 	// final snapshot behind when checkpointing is on.
-	if nchunks == 0 && last == nil {
-		if err := write(snap(0)); err != nil {
+	if nchunks == 0 && resume == nil {
+		if err := boundary(0, true); err != nil {
 			return stats, err
 		}
 	}
-	stats.CheckpointDegraded = degraded
+	stats.CheckpointDegraded = w.Degraded()
 	return stats, nil
 }

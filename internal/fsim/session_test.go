@@ -69,7 +69,7 @@ func TestSessionCheckpointEquivalenceBmarks(t *testing.T) {
 			tests := randomTests(c, n, length, true, seed)
 			ck := SessionCheckpoint{
 				Meta:        sessionMeta(c, tests, seed),
-				Path:        filepath.Join(t.TempDir(), "ck.json"),
+				Checkpoint:  checkpoint.Options{Path: filepath.Join(t.TempDir(), "ck.json")},
 				ChunkFaults: 2 * LanesPerWord,
 			}
 
@@ -94,7 +94,7 @@ func TestSessionCheckpointEquivalenceBmarks(t *testing.T) {
 					t.Fatalf("chunked fault %s state %v, plain %v", reps[i].Pretty(c), st, plainFS.State[i])
 				}
 			}
-			final, err := checkpoint.Load(ck.Path)
+			final, err := checkpoint.Load(ck.Checkpoint.Path)
 			if err != nil {
 				t.Fatalf("final checkpoint unreadable: %v", err)
 			}
@@ -105,7 +105,7 @@ func TestSessionCheckpointEquivalenceBmarks(t *testing.T) {
 			// Interrupted run: cancel as soon as the first checkpoint hits
 			// disk, then resume in a fresh "process" from the file.
 			ck2 := ck
-			ck2.Path = filepath.Join(t.TempDir(), "ck.json")
+			ck2.Checkpoint.Path = filepath.Join(t.TempDir(), "ck.json")
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			o := obs.New(nil, sinkFunc(func(e obs.Event) {
@@ -118,7 +118,7 @@ func TestSessionCheckpointEquivalenceBmarks(t *testing.T) {
 			if err != nil && !errors.As(err, &ie) {
 				t.Fatalf("interrupted run returned %v, want *InterruptedError or clean finish", err)
 			}
-			snap, err := checkpoint.Load(ck2.Path)
+			snap, err := checkpoint.Load(ck2.Checkpoint.Path)
 			if err != nil {
 				t.Fatalf("checkpoint after interrupt unreadable: %v", err)
 			}
@@ -152,7 +152,7 @@ func TestSessionResumeChain(t *testing.T) {
 	tests := randomTests(c, 3, 4, true, 42)
 	ck := SessionCheckpoint{
 		Meta:        sessionMeta(c, tests, 42),
-		Path:        filepath.Join(t.TempDir(), "ck.json"),
+		Checkpoint:  checkpoint.Options{Path: filepath.Join(t.TempDir(), "ck.json")},
 		ChunkFaults: 16, // many chunks, deliberately not a batch multiple
 	}
 	straight, straightStates, err := runChunked(t, c, reps, tests, ck, nil, obs.New(nil, nil), context.Background())
@@ -160,7 +160,7 @@ func TestSessionResumeChain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ck.Path = filepath.Join(t.TempDir(), "ck.json")
+	ck.Checkpoint.Path = filepath.Join(t.TempDir(), "ck.json")
 	var snap *checkpoint.Snapshot
 	var lastStats RunStats
 	var lastStates []fault.Status
@@ -181,7 +181,7 @@ func TestSessionResumeChain(t *testing.T) {
 		if !errors.As(err, &ie) {
 			t.Fatalf("hop %d: %v", hop, err)
 		}
-		snap, err = checkpoint.Load(ck.Path)
+		snap, err = checkpoint.Load(ck.Checkpoint.Path)
 		if err != nil {
 			t.Fatalf("hop %d: reload: %v", hop, err)
 		}
@@ -209,13 +209,13 @@ func TestSessionMetaMismatch(t *testing.T) {
 	reps, _ := fault.Collapse(c, fault.Universe(c))
 	tests := randomTests(c, 2, 3, true, 7)
 	ck := SessionCheckpoint{
-		Meta: sessionMeta(c, tests, 7),
-		Path: filepath.Join(t.TempDir(), "ck.json"),
+		Meta:       sessionMeta(c, tests, 7),
+		Checkpoint: checkpoint.Options{Path: filepath.Join(t.TempDir(), "ck.json")},
 	}
 	if _, _, err := runChunked(t, c, reps, tests, ck, nil, nil, context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := checkpoint.Load(ck.Path)
+	snap, err := checkpoint.Load(ck.Checkpoint.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,8 +283,8 @@ func TestSessionEmptyFaultList(t *testing.T) {
 	}
 	tests := randomTests(c, 1, 2, true, 1)
 	ck := SessionCheckpoint{
-		Meta: sessionMeta(c, tests, 1),
-		Path: filepath.Join(t.TempDir(), "ck.json"),
+		Meta:       sessionMeta(c, tests, 1),
+		Checkpoint: checkpoint.Options{Path: filepath.Join(t.TempDir(), "ck.json")},
 	}
 	fs := fault.NewSet(nil)
 	stats, err := New(c).RunCheckpointed(context.Background(), tests, fs, nil, Options{}, ck)
@@ -294,7 +294,7 @@ func TestSessionEmptyFaultList(t *testing.T) {
 	if stats.Detected != 0 {
 		t.Errorf("Detected = %d, want 0", stats.Detected)
 	}
-	snap, err := checkpoint.Load(ck.Path)
+	snap, err := checkpoint.Load(ck.Checkpoint.Path)
 	if err != nil {
 		t.Fatalf("empty-session snapshot unreadable: %v", err)
 	}
@@ -317,7 +317,7 @@ func TestSessionResumeAdoptsSnapshotChunk(t *testing.T) {
 	tests := randomTests(c, 8, 6, true, seed)
 	ck := SessionCheckpoint{
 		Meta:        sessionMeta(c, tests, seed),
-		Path:        filepath.Join(t.TempDir(), "ck.json"),
+		Checkpoint:  checkpoint.Options{Path: filepath.Join(t.TempDir(), "ck.json")},
 		ChunkFaults: 16,
 	}
 	straight, straightStates, err := runChunked(t, c, reps, tests, ck, nil, obs.New(nil, nil), context.Background())
@@ -326,7 +326,7 @@ func TestSessionResumeAdoptsSnapshotChunk(t *testing.T) {
 	}
 
 	ck2 := ck
-	ck2.Path = filepath.Join(t.TempDir(), "ck.json")
+	ck2.Checkpoint.Path = filepath.Join(t.TempDir(), "ck.json")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	o := obs.New(nil, sinkFunc(func(e obs.Event) {
@@ -339,7 +339,7 @@ func TestSessionResumeAdoptsSnapshotChunk(t *testing.T) {
 	if err != nil && !errors.As(err, &ie) {
 		t.Fatal(err)
 	}
-	snap, err := checkpoint.Load(ck2.Path)
+	snap, err := checkpoint.Load(ck2.Checkpoint.Path)
 	if err != nil {
 		t.Fatal(err)
 	}

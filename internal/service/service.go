@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"limscan/internal/checkpoint"
 	"limscan/internal/core"
 	"limscan/internal/debugsrv"
 	"limscan/internal/dispatch"
@@ -461,7 +462,7 @@ func (s *Service) runCampaign(ctx context.Context, j *job) (res *core.Result, re
 		})
 	}
 	s.o.Counter("service_runs_total").Inc()
-	ck := &core.CheckpointOptions{Path: s.ckPath(j.hash), Every: s.opts.CheckpointEvery}
+	ck := &checkpoint.Options{Path: s.ckPath(j.hash), Every: s.opts.CheckpointEvery}
 	return r.RunJob(ctx, cfg, ck)
 }
 

@@ -28,6 +28,7 @@
 package trace
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -245,7 +246,12 @@ func (t *Track) Name() string {
 
 // Add appends one completed span. Lock-free except when the current
 // chunk is full. Must be called only by the track's owning goroutine.
+// A span holds at most two args; a third panics, on a nil track too,
+// so a caller that would lose data fails in every test that reaches it.
 func (t *Track) Add(cat, name string, start, dur time.Duration, args ...KV) {
+	if len(args) > len(Span{}.Args) {
+		panic(fmt.Sprintf("trace: span %q given %d args, a span holds %d", name, len(args), len(Span{}.Args)))
+	}
 	if t == nil {
 		return
 	}
@@ -265,9 +271,7 @@ func (t *Track) Add(cat, name string, start, dur time.Duration, args ...KV) {
 	sp := &cur.spans[n]
 	sp.Name, sp.Cat, sp.Start, sp.Dur = name, cat, start, dur
 	sp.Args = [2]KV{}
-	for i := 0; i < len(args) && i < 2; i++ {
-		sp.Args[i] = args[i]
-	}
+	copy(sp.Args[:], args)
 	// Publish: the atomic store orders the field writes above before any
 	// reader that loads n — the mid-run /trace download races with
 	// nothing.

@@ -43,6 +43,35 @@ func TestNilRecorderIsInert(t *testing.T) {
 	}
 }
 
+// TestAddRejectsThirdArg: a span holds two args, so a third must fail
+// loudly — naming the span — instead of being dropped, on a nil track
+// too; one and two args are kept in order.
+func TestAddRejectsThirdArg(t *testing.T) {
+	r := New()
+	tk := r.Track(MainTrack)
+	tk.Add(CatRun, "one", 0, dur(1), KV{K: "a", V: 1})
+	tk.Add(CatRun, "two", 0, dur(1), KV{K: "a", V: 1}, KV{K: "b", V: 2})
+	m := r.Model()
+	if got := m.Tracks[0].Spans; len(got) != 2 || got[0].Args[0].K != "a" || got[1].Args[1].K != "b" {
+		t.Fatalf("spans = %+v", got)
+	}
+	three := []KV{{K: "a"}, {K: "b"}, {K: "c"}}
+	for _, tk := range []*Track{tk, (*Recorder)(nil).Track(MainTrack)} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, `"three"`) {
+					t.Errorf("third arg: recovered %q, want a panic naming the span", msg)
+				}
+			}()
+			tk.Add(CatRun, "three", 0, dur(1), three...)
+		}()
+	}
+	if n := r.Track(MainTrack).Len(); n != 2 {
+		t.Errorf("track holds %d spans after the rejected add, want 2", n)
+	}
+}
+
 func TestMainTrackIsAlwaysTIDZero(t *testing.T) {
 	r := New()
 	r.Track(WorkerTrackPrefix + "0")
